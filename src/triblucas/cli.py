@@ -5,7 +5,9 @@ families), ``table`` (the four reference tables), ``incomplete`` (incomplete
 values, optionally evaluated at a rational x), ``gf`` (generating-function
 expansion with a matches-direct comparator verdict) and ``verify`` (the
 identity suite).  Exit codes: 0 success, 1 verification failure, 2 usage
-error.  All output is UTF-8 with "\\n" newlines and deterministic.
+error, 3 internal error (an unexpected exception, reported as one
+``error: internal: <Type>: <message>`` line on stderr).  All output is
+UTF-8 with "\\n" newlines and deterministic.
 """
 
 from __future__ import annotations
@@ -358,6 +360,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except Exception as exc:
+        message = str(exc).replace("\n", " ")
+        sys.stderr.write(f"error: internal: {type(exc).__name__}: {message}\n")
+        return 3
 
 
 def entry() -> None:

@@ -1,10 +1,13 @@
 """Truncated formal power series in z and cleared rational generating functions.
 
-Coefficients live in one of two rings per object: integer polynomials in x
-(the symbolic mode) or exact rationals (after substituting a value for x).
 Every generating function is normalized to a single numerator/denominator
 pair of z-polynomials whose denominator has unit constant term, so series
-expansion needs no coefficient division and stays exact.
+expansion needs no coefficient division and stays exact.  The pair is
+built once over integer polynomials in x (the symbolic mode).  For a
+rational x the memoised symbolic pair is evaluated at x coefficient by
+coefficient, giving exact rational coefficients: evaluation is a ring
+homomorphism that keeps the unit constant term, so it commutes with
+clearing and with expansion.
 
 The incomplete-Tribonacci generating function is
 
@@ -146,10 +149,10 @@ def _zmul(a: Tuple[Coeff, ...], b: Tuple[Coeff, ...], zero: Coeff) -> Tuple[Coef
     return tuple(out)
 
 
-def _zpow(a: Tuple[Coeff, ...], n: int, zero: Coeff, one: Coeff) -> Tuple[Coeff, ...]:
-    result: Tuple[Coeff, ...] = (one,)
+def _zpow(a: Tuple[IntPoly, ...], n: int) -> Tuple[IntPoly, ...]:
+    result: Tuple[IntPoly, ...] = (IntPoly.one(),)
     for _ in range(n):
-        result = _zmul(result, a, zero)
+        result = _zmul(result, a, IntPoly.zero())
     return result
 
 
@@ -243,48 +246,17 @@ def lemma9_gf(spec: Lemma9Spec) -> RationalGF:
 
 # -- the concrete incomplete-family generating functions ----------------------
 
-class _Ring:
-    """Constructors for one coefficient ring (symbolic x or substituted x)."""
-
-    def __init__(self, x: XMode):
-        self.xval = x
-        if x is None:
-            self.zero: Coeff = IntPoly.zero()
-            self.one: Coeff = IntPoly.one()
-            self.x: Coeff = IntPoly.x()
-        else:
-            self.zero = Fraction(0)
-            self.one = Fraction(1)
-            self.x = Fraction(x)
-
-    def x_power(self, k: int, scale: int = 1) -> Coeff:
-        if self.xval is None:
-            return IntPoly.monomial(scale, k)
-        return scale * self.x ** k
-
-    def tpoly(self, k: int) -> Coeff:
-        p = tribonacci_poly(k)
-        if self.xval is None:
-            return p
-        return Fraction(p.evaluate(self.x))
+_ZERO = IntPoly.zero()
+_ONE = IntPoly.one()
+_X = IntPoly.x()
+_X2 = IntPoly.monomial(1, 2)
 
 
-def _q_parts(s: int, variant: GFVariant, ring: _Ring):
-    # Cleared numerator A and denominator B of Q_s (without the z^(2s+1)).
-    t1 = ring.tpoly(2 * s + 1)
-    t2 = ring.tpoly(2 * s + 2)
-    n2 = ring.tpoly(2 * s)
-    if variant is GFVariant.AS_PRINTED:
-        n2 = n2 - ring.x_power(s + 1, 2)
-    head = (t1, t2 - ring.x_power(2) * t1, n2)
-    m = (ring.one, -ring.x_power(2))                       # 1 - x^2 z
-    d = (ring.one, -ring.x_power(2), -ring.x, -ring.one)   # 1 - x^2 z - x z^2 - z^3
-    p = _zpow(m, s + 1, ring.zero, ring.one)
-    x_plus_z = _zpow((ring.x, ring.one), s, ring.zero, ring.one)
-    g = _zmul((ring.zero, ring.zero, ring.x, ring.one), x_plus_z, ring.zero)
-    a = _zadd(_zmul(head, p, ring.zero), _zneg(g))
-    b = _zmul(d, p, ring.zero)
-    return a, b
+def _at(gf: RationalGF, x: Fraction) -> RationalGF:
+    # Substitute x into a symbolic pair; see the module docstring.
+    def sub(coeffs):
+        return tuple(Fraction(c.evaluate(x)) for c in coeffs)
+    return RationalGF(sub(gf.numerator), sub(gf.denominator), gf.shift)
 
 
 @lru_cache(maxsize=None)
@@ -294,14 +266,26 @@ def q_gf(s: int, variant: GFVariant = GFVariant.CORRECTED,
 
     Denominators are cleared to (1 - x^2 z - x z^2 - z^3)(1 - x^2 z)^(s+1)
     and the z^(2s+1) prefactor is carried in ``shift``.  With ``x`` given,
-    substitution happens before clearing and the coefficients are exact
-    rationals.
+    the memoised symbolic pair is evaluated at x coefficient by coefficient,
+    which gives exact rational coefficients.
     """
     if s < 0:
         raise DomainError(f"level must be nonnegative, got {s}")
-    ring = _Ring(x)
-    a, b = _q_parts(s, variant, ring)
-    return RationalGF(a, b, 2 * s + 1)
+    if x is not None:
+        return _at(q_gf(s, variant, None), Fraction(x))
+    t1 = tribonacci_poly(2 * s + 1)
+    t2 = tribonacci_poly(2 * s + 2)
+    n2 = tribonacci_poly(2 * s)
+    if variant is GFVariant.AS_PRINTED:
+        n2 = n2 - IntPoly.monomial(2, s + 1)
+    head = (t1, t2 - _X2 * t1, n2)
+    m = (_ONE, -_X2)                     # 1 - x^2 z
+    d = (_ONE, -_X2, -_X, -_ONE)         # 1 - x^2 z - x z^2 - z^3
+    p = _zpow(m, s + 1)
+    x_plus_z = _zpow((_X, _ONE), s)
+    g = _zmul((_ZERO, _ZERO, _X, _ONE), x_plus_z, _ZERO)
+    a = _zadd(_zmul(head, p, _ZERO), _zneg(g))
+    return RationalGF(a, _zmul(d, p, _ZERO), 2 * s + 1)
 
 
 @lru_cache(maxsize=None)
@@ -310,20 +294,21 @@ def w_gf(s: int, x: XMode = None) -> RationalGF:
 
     Assembled over the common denominator of Q_s and Q_{s-1} (corrected
     variant), with the z^(-1) absorbed into Q_s's shift and the boundary
-    term 2 T_{2s-2}(x) z^(2s) restored; see the module docstring.
+    term 2 T_{2s-2}(x) z^(2s) restored; see the module docstring.  With
+    ``x`` given, the memoised symbolic pair is evaluated at x.
     """
     if s < 1:
         raise DomainError("the Tribonacci-Lucas generating function needs s >= 1")
-    ring = _Ring(x)
-    a_s, b_s = _q_parts(s, GFVariant.CORRECTED, ring)
-    a_prev, _ = _q_parts(s - 1, GFVariant.CORRECTED, ring)
-    m = (ring.one, -ring.x_power(2))
-    lin = (ring.x, ring.one + ring.one)                    # x + 2z
-    numerator = _zadd(a_s, _zmul(_zmul(lin, m, ring.zero), a_prev, ring.zero))
-    repair = ring.tpoly(2 * s - 2)
+    if x is not None:
+        return _at(w_gf(s, None), Fraction(x))
+    q_s = q_gf(s, GFVariant.CORRECTED, None)
+    q_prev = q_gf(s - 1, GFVariant.CORRECTED, None)
+    lin_m = _zmul((_X, IntPoly.constant(2)), (_ONE, -_X2), _ZERO)  # (x + 2z)(1 - x^2 z)
+    numerator = _zadd(q_s.numerator, _zmul(lin_m, q_prev.numerator, _ZERO))
+    repair = tribonacci_poly(2 * s - 2)
     if not _is_zero(repair):
-        numerator = _zadd(numerator, _zscale(b_s, repair + repair))
-    return RationalGF(numerator, b_s, 2 * s)
+        numerator = _zadd(numerator, _zscale(q_s.denominator, repair + repair))
+    return RationalGF(numerator, q_s.denominator, 2 * s)
 
 
 @lru_cache(maxsize=None)
@@ -337,9 +322,8 @@ def q_gf_numbers_unshifted(s: int) -> RationalGF:
     """
     if s < 0:
         raise DomainError(f"level must be nonnegative, got {s}")
-    ring = _Ring(Fraction(1))
-    a, b = _q_parts(s, GFVariant.AS_PRINTED, ring)
-    return RationalGF(a, b, 0)
+    printed = q_gf(s, GFVariant.AS_PRINTED, Fraction(1))
+    return RationalGF(printed.numerator, printed.denominator, 0)
 
 
 def direct_incomplete_coeff(family: IncompleteFamily, n: int, s: int,

@@ -35,31 +35,43 @@ class SequenceFamily(enum.Enum):
 
 
 class _GrowingCache:
-    """Append-only memo of an order-3 additive recurrence, safe for concurrent use."""
+    """Append-only memo grown by ``step(values) -> next``, safe for concurrent use."""
 
-    def __init__(self, initial: Sequence[V], step: Callable[[V, V, V], V]):
+    def __init__(self, initial: Sequence[V], step: Callable[[List[V]], V]):
         self._values: List[V] = list(initial)
         self._step = step
         self._lock = threading.Lock()
 
+    def _grow(self, count: int) -> None:
+        with self._lock:
+            v = self._values
+            while len(v) < count:
+                v.append(self._step(v))
+
     def get(self, n: int) -> V:
         if n < 0:
             raise DomainError(f"index must be nonnegative, got {n}")
-        if n < len(self._values):
-            return self._values[n]
-        with self._lock:
-            v = self._values
-            while len(v) <= n:
-                v.append(self._step(v[-1], v[-2], v[-3]))
-            return v[n]
+        if n >= len(self._values):
+            self._grow(n + 1)
+        return self._values[n]
+
+    def prefix(self, count: int) -> List[V]:
+        """The first ``count`` values."""
+        if count > len(self._values):
+            self._grow(count)
+        return self._values[:count]
 
 
-def _poly_step(a: IntPoly, b: IntPoly, c: IntPoly) -> IntPoly:
-    return a.shifted(2) + b.shifted(1) + c
+def _number_step(v: List[int]) -> int:
+    return v[-1] + v[-2] + v[-3]
 
 
-_T_NUMBERS = _GrowingCache([0, 1, 1], lambda a, b, c: a + b + c)
-_K_NUMBERS = _GrowingCache([3, 1, 3], lambda a, b, c: a + b + c)
+def _poly_step(v: List[IntPoly]) -> IntPoly:
+    return v[-1].shifted(2) + v[-2].shifted(1) + v[-3]
+
+
+_T_NUMBERS = _GrowingCache([0, 1, 1], _number_step)
+_K_NUMBERS = _GrowingCache([3, 1, 3], _number_step)
 _T_POLYS = _GrowingCache(
     [IntPoly.zero(), IntPoly.one(), IntPoly.monomial(1, 2)], _poly_step)
 _K_POLYS = _GrowingCache(

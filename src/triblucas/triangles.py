@@ -18,13 +18,13 @@ numbers / polynomials.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass
 from math import comb
 from typing import List, Tuple, Union
 
 from .errors import DomainError, InternalConsistencyError
 from .poly import IntPoly, poly_format
+from .sequences import _GrowingCache
 
 Entry = Union[int, IntPoly]
 
@@ -62,44 +62,22 @@ def exact_div(numerator: int, denominator: int) -> int:
     return q
 
 
-class _RowCache:
-    def __init__(self, poly: bool):
-        self._poly = poly
-        self._rows: List[List[Entry]] = []
-        self._lock = threading.Lock()
-
-    def rows(self, count: int) -> List[List[Entry]]:
-        if count > len(self._rows):
-            with self._lock:
-                while len(self._rows) < count:
-                    self._rows.append(self._next_row())
-        return self._rows[:count]
-
-    def _next_row(self) -> List[Entry]:
-        n = len(self._rows)
-        if n == 0:
-            return [IntPoly.constant(3)] if self._poly else [3]
-        prev = self._rows[n - 1]
-        prev2 = self._rows[n - 2] if n >= 2 else []
-        row: List[Entry] = []
-        for i in range(n + 1):
-            if i == 0:
-                row.append(IntPoly.monomial(1, 2 * n) if self._poly else 1)
-            elif i == n:
-                row.append(IntPoly.monomial(2, n) if self._poly else 2)
-            else:
-                a = prev[i]
-                b = prev[i - 1]
-                c = prev2[i - 1] if i - 1 < len(prev2) else (IntPoly.zero() if self._poly else 0)
-                if self._poly:
-                    row.append(a.shifted(2) + b.shifted(1) + c)
-                else:
-                    row.append(a + b + c)
-        return row
+def _next_row(rows: List[Tuple[Entry, ...]], poly: bool) -> Tuple[Entry, ...]:
+    n = len(rows)
+    if n == 0:
+        return (IntPoly.constant(3),) if poly else (3,)
+    prev, prev2 = rows[-1], rows[-2] if n >= 2 else ()
+    inner: List[Entry] = []
+    for i in range(1, n):
+        a, b, c = prev[i], prev[i - 1], prev2[i - 1]
+        inner.append(a.shifted(2) + b.shifted(1) + c if poly else a + b + c)
+    if poly:
+        return (IntPoly.monomial(1, 2 * n), *inner, IntPoly.monomial(2, n))
+    return (1, *inner, 2)
 
 
-_NUMBER_ROWS = _RowCache(poly=False)
-_POLY_ROWS = _RowCache(poly=True)
+_NUMBER_ROWS = _GrowingCache([], lambda rows: _next_row(rows, poly=False))
+_POLY_ROWS = _GrowingCache([], lambda rows: _next_row(rows, poly=True))
 
 
 def _check_cell(n: int, i: int) -> None:
@@ -127,7 +105,7 @@ def triangle_entry_number(n: int, i: int, method: str = RECURRENCE) -> int:
     """B(n, i), by the table recurrence or the closed binomial sum."""
     _check_cell(n, i)
     if method == RECURRENCE:
-        return _NUMBER_ROWS.rows(n + 1)[n][i]
+        return _NUMBER_ROWS.get(n)[i]
     if method != CLOSED_FORM:
         raise DomainError(f"unknown method {method!r}")
     if n == i:
@@ -139,7 +117,7 @@ def triangle_entry_poly(n: int, i: int, method: str = RECURRENCE) -> IntPoly:
     """B(n, i)(x), by the table recurrence or the closed binomial sum."""
     _check_cell(n, i)
     if method == RECURRENCE:
-        return _POLY_ROWS.rows(n + 1)[n][i]
+        return _POLY_ROWS.get(n)[i]
     if method != CLOSED_FORM:
         raise DomainError(f"unknown method {method!r}")
     if n == i:
@@ -152,7 +130,7 @@ def triangle_rows(kind: TriangleKind, row_count: int) -> TriangleTable:
     if row_count < 1:
         raise DomainError(f"row_count must be >= 1, got {row_count}")
     cache = _NUMBER_ROWS if kind is TriangleKind.NUMBERS else _POLY_ROWS
-    return TriangleTable(kind, tuple(tuple(row) for row in cache.rows(row_count)))
+    return TriangleTable(kind, tuple(cache.prefix(row_count)))
 
 
 def diagonal_sum(kind: TriangleKind, n: int) -> Entry:

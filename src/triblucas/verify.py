@@ -18,9 +18,10 @@ identity through the same code path.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import genfunc as gf
 from . import incomplete as inc
@@ -123,162 +124,123 @@ class IdentityReport:
         }
 
 
+# One lattice point: its parameters, then the two sides of the identity.
+Point = Tuple[Sequence[Tuple[str, object]], object, object]
+
+
 def _render(value) -> str:
     if isinstance(value, IntPoly):
         return poly_format(value)
     return str(value)
 
 
-class _Recorder:
-    """Counts comparison points and keeps the first few counterexamples."""
-
-    def __init__(self):
-        self.points = 0
-        self.total_failures = 0
-        self.examples: List[Failure] = []
-
-    def check(self, params: Sequence[Tuple[str, object]], lhs, rhs) -> None:
-        self.check_ok(params, lhs == rhs, lhs, rhs)
-
-    def check_ok(self, params: Sequence[Tuple[str, object]], ok: bool,
-                 lhs, rhs) -> None:
-        self.points += 1
-        if not ok:
-            self.total_failures += 1
-            if len(self.examples) < MAX_COUNTEREXAMPLES:
-                rendered = tuple((k, _render(v)) for k, v in params)
-                self.examples.append(Failure(rendered, _render(lhs), _render(rhs)))
+def _within_binet_tol(estimate, value: int) -> bool:
+    # |estimate - value| <= tol * max(1, value), in mpf/int arithmetic: a
+    # float bound overflows once value passes about 1.8e308.
+    tol = BINET_REL_TOL
+    return abs(estimate - value) * tol.denominator <= tol.numerator * max(1, value)
 
 
 # -- checkers -----------------------------------------------------------------
+#
+# Each checker yields (params, lhs, rhs) for every point of its lattice;
+# run_identity counts the points and compares the two sides.
 
-def _check_eq22(rng: SweepRange) -> _Recorder:
-    rec = _Recorder()
+def _check_eq22(rng: SweepRange) -> Iterator[Point]:
     for n in range(1, rng.n_max + 1):
-        rec.check([("n", n)], binomial_diagonal_sum(TriangleKind.NUMBERS, n),
-                  tribonacci_lucas_number(n))
-    return rec
+        yield ([("n", n)], binomial_diagonal_sum(TriangleKind.NUMBERS, n),
+               tribonacci_lucas_number(n))
 
 
-def _check_eq24(rng: SweepRange) -> _Recorder:
-    rec = _Recorder()
+def _check_eq24(rng: SweepRange) -> Iterator[Point]:
     for n in range(1, rng.n_max_poly + 1):
-        rec.check([("n", n)], binomial_diagonal_sum(TriangleKind.POLYNOMIALS, n),
-                  tribonacci_lucas_poly(n))
-    return rec
+        yield ([("n", n)], binomial_diagonal_sum(TriangleKind.POLYNOMIALS, n),
+               tribonacci_lucas_poly(n))
 
 
-def _check_triangle_methods(rng: SweepRange) -> _Recorder:
-    rec = _Recorder()
+def _check_triangle_methods(rng: SweepRange) -> Iterator[Point]:
     cap = min(rng.n_max, TRIANGLE_SWEEP_CAP)
     for n in range(cap + 1):
         for i in range(n + 1):
-            rec.check([("kind", "numbers"), ("n", n), ("i", i)],
-                      triangle_entry_number(n, i, CLOSED_FORM),
-                      triangle_entry_number(n, i, RECURRENCE))
-            rec.check([("kind", "polynomials"), ("n", n), ("i", i)],
-                      triangle_entry_poly(n, i, CLOSED_FORM),
-                      triangle_entry_poly(n, i, RECURRENCE))
-    return rec
+            yield ([("kind", "numbers"), ("n", n), ("i", i)],
+                   triangle_entry_number(n, i, CLOSED_FORM),
+                   triangle_entry_number(n, i, RECURRENCE))
+            yield ([("kind", "polynomials"), ("n", n), ("i", i)],
+                   triangle_entry_poly(n, i, CLOSED_FORM),
+                   triangle_entry_poly(n, i, RECURRENCE))
 
 
-def _check_def1_methods(rng: SweepRange) -> _Recorder:
-    rec = _Recorder()
+def _check_def1_methods(rng: SweepRange) -> Iterator[Point]:
     for n in range(rng.n_max_poly + 1):
         for s in range(n // 2 + 1):
-            rec.check([("n", n), ("s", s)],
-                      inc.incomplete_tl_poly(n, s, inc.TRIANGLE_SUM),
-                      inc.incomplete_tl_poly(n, s, inc.BINOMIAL_SUM))
-    return rec
+            yield ([("n", n), ("s", s)],
+                   inc.incomplete_tl_poly(n, s, inc.TRIANGLE_SUM),
+                   inc.incomplete_tl_poly(n, s, inc.BINOMIAL_SUM))
 
 
 def _boundary_checker(which: str, n_min: int, level: Callable[[int], int]):
-    def run(rng: SweepRange) -> _Recorder:
-        rec = _Recorder()
+    def run(rng: SweepRange) -> Iterator[Point]:
         for n in range(n_min, rng.n_max_poly + 1):
-            rec.check([("n", n)], inc.boundary_form(n, which),
-                      inc.incomplete_tl_poly(n, level(n)))
-        return rec
+            yield ([("n", n)], inc.boundary_form(n, which),
+                   inc.incomplete_tl_poly(n, level(n)))
     return run
 
 
 def _recurrence_checker(variant: str, numbers: bool):
-    def run(rng: SweepRange) -> _Recorder:
-        rec = _Recorder()
+    def run(rng: SweepRange) -> Iterator[Point]:
         n_cap = rng.n_max if numbers else rng.n_max_recur
         for n in range(1, n_cap + 1):
-            if variant == inc.TRI_NONHOM_15:
-                levels = range((n - 1) // 2 + 1)
-            else:
-                levels = range(n // 2 + 1)
-            for s in levels:
+            top = (n - 1) // 2 if variant == inc.TRI_NONHOM_15 else n // 2
+            for s in range(top + 1):
                 direct, assembled = inc.recurrence_step(n, s, variant)
-                rec.check([("n", n), ("s", s)], direct, assembled)
-        return rec
+                yield [("n", n), ("s", s)], direct, assembled
     return run
 
 
-def _check_prop3(rng: SweepRange) -> _Recorder:
-    rec = _Recorder()
+def _check_prop3(rng: SweepRange) -> Iterator[Point]:
     for n in range(3, rng.n_max_poly + 1):
         for s in range(1, (n - 1) // 2 + 1):
-            rec.check([("n", n), ("s", s)], inc.tl_relation_rhs(n, s),
-                      inc.incomplete_tl_poly(n, s))
-    return rec
+            yield ([("n", n), ("s", s)], inc.tl_relation_rhs(n, s),
+                   inc.incomplete_tl_poly(n, s))
 
 
-def _check_cor4(rng: SweepRange) -> _Recorder:
-    rec = _Recorder()
+def _check_cor4(rng: SweepRange) -> Iterator[Point]:
     for n in range(3, rng.n_max + 1):
         for s in range(1, (n - 1) // 2 + 1):
-            rec.check([("n", n), ("s", s)],
-                      inc.tl_relation_rhs(n, s).evaluate(1),
-                      inc.incomplete_tl_number(n, s))
-    return rec
+            yield ([("n", n), ("s", s)], inc.tl_relation_rhs(n, s).evaluate(1),
+                   inc.incomplete_tl_number(n, s))
 
 
-def _check_thm5(rng: SweepRange) -> _Recorder:
-    rec = _Recorder()
-    for n in range(1, min(rng.n_max, RECUR_SWEEP_CAP) + 1):
+def _check_thm5(rng: SweepRange) -> Iterator[Point]:
+    for n in range(1, rng.n_max_recur + 1):
         for h in range(1, rng.h_max + 1):
             for s in range(n // 2 + 1):
                 lhs, rhs = inc.partial_sum_lhs_rhs(n, h, s)
-                rec.check([("n", n), ("h", h), ("s", s)], lhs, rhs)
-    return rec
+                yield [("n", n), ("h", h), ("s", s)], lhs, rhs
 
 
 def _row_sum_checker(mode: str):
-    def run(rng: SweepRange) -> _Recorder:
-        rec = _Recorder()
+    def run(rng: SweepRange) -> Iterator[Point]:
         cap = rng.n_max if mode == inc.NUMBERS else rng.n_max_poly
         for n in range(1, cap + 1):
             lhs, rhs = inc.row_sum_lhs_rhs(n, mode)
-            rec.check([("n", n)], lhs, rhs)
-        return rec
+            yield [("n", n)], lhs, rhs
     return run
 
 
 def _binet_checker(family: SequenceFamily, exact: Callable[[int], int]):
-    def run(rng: SweepRange) -> _Recorder:
-        rec = _Recorder()
+    def run(rng: SweepRange) -> Iterator[Point]:
         for n in range(rng.n_max + 1):
-            estimate = binet_estimate(n, family, BINET_PRECISION)
-            value = exact(n)
-            bound = float(BINET_REL_TOL) * max(1, value)
-            rec.check_ok([("n", n)], abs(estimate - value) <= bound,
-                         estimate, value)
-        return rec
+            yield [("n", n)], binet_estimate(n, family, BINET_PRECISION), exact(n)
     return run
 
 
-def _check_poly_at_1(rng: SweepRange) -> _Recorder:
-    rec = _Recorder()
+def _check_poly_at_1(rng: SweepRange) -> Iterator[Point]:
     for n in range(rng.n_max + 1):
-        rec.check([("family", "tribonacci"), ("n", n)],
-                  tribonacci_poly(n).evaluate(1), tribonacci_number(n))
-        rec.check([("family", "tribonacci-lucas"), ("n", n)],
-                  tribonacci_lucas_poly(n).evaluate(1), tribonacci_lucas_number(n))
-    return rec
+        yield ([("family", "tribonacci"), ("n", n)],
+               tribonacci_poly(n).evaluate(1), tribonacci_number(n))
+        yield ([("family", "tribonacci-lucas"), ("n", n)],
+               tribonacci_lucas_poly(n).evaluate(1), tribonacci_lucas_number(n))
 
 
 def _mode_label(x: Optional[Fraction]) -> str:
@@ -287,33 +249,26 @@ def _mode_label(x: Optional[Fraction]) -> str:
 
 def _gf_checker(family: inc.IncompleteFamily, variant: gf.GFVariant,
                 s_min: int, x_modes: Optional[Callable[[SweepRange], list]] = None):
-    def run(rng: SweepRange) -> _Recorder:
-        rec = _Recorder()
+    def run(rng: SweepRange) -> Iterator[Point]:
         modes = x_modes(rng) if x_modes else rng.x_modes()
         for s in range(s_min, rng.s_max + 1):
             for x in modes:
                 cmp = gf.gf_vs_direct(family, s, variant, x, rng.order)
-                mism = {power: (got, want) for power, got, want in cmp.mismatches}
-                for power in range(rng.order):
-                    params = [("s", s), ("x", _mode_label(x)), ("power", power)]
-                    if power in mism:
-                        got, want = mism[power]
-                        rec.check_ok(params, False, got, want)
-                    else:
-                        rec.points += 1
-        return rec
+                # only mismatched powers differ from the series coefficient
+                direct = {power: want for power, _, want in cmp.mismatches}
+                for power, got in enumerate(cmp.series.coeffs):
+                    yield ([("s", s), ("x", _mode_label(x)), ("power", power)],
+                           got, direct.get(power, got))
     return run
 
 
-def _check_eq16_shift(rng: SweepRange) -> _Recorder:
-    rec = _Recorder()
+def _check_eq16_shift(rng: SweepRange) -> Iterator[Point]:
     for s in range(rng.s_max + 1):
         series = gf.series_expand(gf.q_gf_numbers_unshifted(s), rng.order)
         for power in range(rng.order):
             direct = gf.direct_incomplete_coeff(
                 inc.IncompleteFamily.INC_TRIBONACCI, power, s, Fraction(1))
-            rec.check([("s", s), ("power", power)], series[power], direct)
-    return rec
+            yield [("s", s), ("power", power)], series[power], direct
 
 
 # -- catalog ------------------------------------------------------------------
@@ -324,18 +279,19 @@ class CatalogEntry:
     description: str
     formula_key: str
     expects_failures: bool
-    runner: Callable[[SweepRange], _Recorder]
+    runner: Callable[[SweepRange], Iterator[Point]]
     domain: Callable[[SweepRange], str]
     extra_notes: str = ""
+    agree: Callable[[object, object], bool] = operator.eq
 
 
 def _entries() -> List[CatalogEntry]:
     e = []
 
     def add(id_, description, formula_key, runner, domain, expects_failures=False,
-            extra_notes=""):
+            extra_notes="", agree=operator.eq):
         e.append(CatalogEntry(id_, description, formula_key, expects_failures,
-                              runner, domain, extra_notes))
+                              runner, domain, extra_notes, agree))
 
     add("eq2.2", "Tribonacci-Lucas numbers as the rising-diagonal double binomial sum",
         "2.2", _check_eq22, lambda r: f"1 <= n <= {r.n_max}")
@@ -394,11 +350,13 @@ def _entries() -> List[CatalogEntry]:
         lambda r: f"1 <= n <= {r.n_max}, numbers")
     add("binet-T", "Tribonacci closed form over the characteristic roots vs the recurrence",
         "1.3 (with 1.1)", _binet_checker(SequenceFamily.TRIBONACCI_NUMBER, tribonacci_number),
-        lambda r: f"0 <= n <= {r.n_max}, relative tolerance 1e-6, {BINET_PRECISION}-bit floats")
+        lambda r: f"0 <= n <= {r.n_max}, relative tolerance 1e-6, {BINET_PRECISION}-bit floats",
+        agree=_within_binet_tol)
     add("binet-K", "Tribonacci-Lucas closed form over the characteristic roots vs the recurrence",
         "1.3 (with 1.2)", _binet_checker(SequenceFamily.TRIBONACCI_LUCAS_NUMBER,
                                          tribonacci_lucas_number),
-        lambda r: f"0 <= n <= {r.n_max}, relative tolerance 1e-6, {BINET_PRECISION}-bit floats")
+        lambda r: f"0 <= n <= {r.n_max}, relative tolerance 1e-6, {BINET_PRECISION}-bit floats",
+        agree=_within_binet_tol)
     add("poly-at-1", "polynomial families at x = 1 reduce to the number families",
         "polynomial recurrences", _check_poly_at_1,
         lambda r: f"0 <= n <= {r.n_max}, both families")
@@ -466,24 +424,32 @@ def run_identity(identity_id: str, rng: Optional[SweepRange] = None) -> Identity
     if rng is None:
         rng = SweepRange()
     entry = _CATALOG[identity_id]
-    rec = entry.runner(rng)
+    points = total_failures = 0
+    examples: List[Failure] = []
+    for params, lhs, rhs in entry.runner(rng):
+        points += 1
+        if not entry.agree(lhs, rhs):
+            total_failures += 1
+            if len(examples) < MAX_COUNTEREXAMPLES:
+                examples.append(Failure(tuple((k, _render(v)) for k, v in params),
+                                        _render(lhs), _render(rhs)))
     notes = f"domain: {entry.domain(rng)}"
     if entry.extra_notes:
         notes += f"; {entry.extra_notes}"
     if entry.expects_failures:
-        if rec.total_failures:
+        if total_failures:
             status = EXPECTED_FAIL
         else:
             status = FAIL
             notes += ("; UNEXPECTED: the reproduced form matched direct values, "
                       "so the faithful reproduction is broken")
     else:
-        status = PASS if rec.total_failures == 0 else FAIL
+        status = PASS if total_failures == 0 else FAIL
     return IdentityReport(
         id=identity_id,
-        points_checked=rec.points,
-        failures=tuple(rec.examples),
-        total_failures=rec.total_failures,
+        points_checked=points,
+        failures=tuple(examples),
+        total_failures=total_failures,
         status=status,
         notes=notes,
     )

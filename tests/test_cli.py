@@ -214,5 +214,18 @@ def test_bad_rational_flag(capsys):
     assert code == 2
 
 
+def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
+    from triblucas import verify
+
+    def boom(rng=None):
+        raise OverflowError("int too large\nto convert to float")
+
+    monkeypatch.setattr(verify, "run_all", boom)
+    code, out, err = run(capsys, "verify", "--format", "json")
+    assert code == 3
+    assert out == ""
+    assert err == "error: internal: OverflowError: int too large to convert to float\n"
+
+
 def test_unknown_command(capsys):
     assert main(["frobnicate"]) == 2

@@ -1,9 +1,14 @@
+import dataclasses
+import hashlib
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
 
 from triblucas.errors import UnknownIdentityError
+from triblucas.sequences import SequenceFamily, binet_estimate, tribonacci_number
 from triblucas.verify import (
+    BINET_PRECISION,
     EXPECTED_FAIL,
     FAIL,
     PASS,
@@ -14,6 +19,8 @@ from triblucas.verify import (
     reports_to_json,
     run_all,
     run_identity,
+    _CATALOG,
+    _within_binet_tol,
 )
 
 EXPECTED_IDS = [
@@ -97,11 +104,35 @@ def test_reports_shrink_with_range_but_statuses_hold():
     assert statuses["thm10-corrected"] == PASS
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def test_determinism_byte_identical_json():
     first = reports_to_json(run_all(SMALL))
     second = reports_to_json(run_all(SMALL))
     assert first == second
     assert first.startswith('[{"id":"eq2.2"')
+    # Pinned bytes: a refactor of the sweep machinery must not move them.
+    assert _sha256(first) == (
+        "3b78f1f5a11cf1e7f7d38980f3b2091d1cb9716cb1d2b77a9ccd6d9e40abd379")
+    other_x = dataclasses.replace(
+        SMALL, x_points=(Fraction(3, 5), Fraction(-2), Fraction(7, 3)))
+    assert _sha256(reports_to_json(run_all(other_x))) == (
+        "d025ae1bf92ae68a286739f6720d66ae7d994ca724913fcdcf4dcaf1330c06f8")
+
+
+def test_binet_tolerance_is_exact_beyond_float_range():
+    # T_1300 is about 10^343, past the largest float, so a float bound would
+    # overflow; the comparison stays in mpf/int arithmetic.
+    n = 1300
+    exact = tribonacci_number(n)
+    estimate = binet_estimate(n, SequenceFamily.TRIBONACCI_NUMBER, BINET_PRECISION)
+    assert exact > 10 ** 309
+    assert _within_binet_tol(estimate, exact)
+    assert not _within_binet_tol(estimate, exact + exact // 10 ** 5)
+    assert _CATALOG["binet-T"].agree is _within_binet_tol
+    assert _CATALOG["binet-K"].agree is _within_binet_tol
 
 
 def test_report_json_shape():
