@@ -160,7 +160,7 @@ def _cmd_incomplete(args) -> int:
     except DomainError as exc:
         raise _UsageError(str(exc))
     if args.x is not None:
-        value = Fraction(p.evaluate(_parse_fraction(args.x)))
+        value = p.evaluate(_parse_fraction(args.x))
         if args.format == PLAIN:
             out = f"{value}\n"
         elif args.format == CSV:

@@ -45,6 +45,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Optional, Tuple, Union
 
 from .errors import DomainError, ExpansionError
@@ -161,34 +162,110 @@ def series_expand(gf: RationalGF, order: int) -> PowerSeries:
 
     Solves denominator * P = numerator coefficient by coefficient (possible
     exactly because the denominator's constant term is 1), then applies the
-    z^shift prefactor and re-truncates.
+    z^shift prefactor and re-truncates.  Both kernels accumulate in ``int``:
+
+    - a pair with ``IntPoly`` coefficients (``int`` ones are promoted) runs
+      p_k = num_k - sum_j den_j p_(k-j) on the x-coefficient lists,
+      multiplying only by the nonzero terms of each den_j;
+    - an ``int``/``Fraction`` pair runs
+      P_k = c m^k num_k - sum_j (m^j den_j) P_(k-j) on integers, with m and
+      c built from the coefficient denominators so that every m^j den_j
+      and c m^k num_k is an integer, and builds each coefficient
+      P_k / (c m^k) as one ``Fraction``.
+
+    ``int`` pairs give ``int`` coefficients and pairs holding a ``Fraction``
+    give ``Fraction`` ones.
     """
     if order < 0:
         raise DomainError(f"order must be nonnegative, got {order}")
-    return _expand_cached(gf, order)
+    return _expand_cached(gf, order, _coeff_kind(gf))
+
+
+def _coeff_kind(gf: RationalGF) -> type:
+    # Equal int and Fraction pairs compare and hash alike, so the kind is
+    # part of the expansion memo's key.
+    coeffs = gf.numerator + gf.denominator
+    if any(isinstance(c, IntPoly) for c in coeffs):
+        if any(isinstance(c, Fraction) for c in coeffs):
+            raise TypeError("a pair cannot mix Fraction and IntPoly coefficients")
+        return IntPoly
+    return Fraction if any(isinstance(c, Fraction) for c in coeffs) else int
+
+
+_ZERO_OF = {IntPoly: IntPoly.zero(), Fraction: Fraction(0), int: 0}
 
 
 @lru_cache(maxsize=None)
-def _expand_cached(gf: RationalGF, order: int) -> PowerSeries:
-    den = gf.denominator
-    num = gf.numerator
-    zero = den[0] * 0
+def _expand_cached(gf: RationalGF, order: int, kind: type) -> PowerSeries:
     body = max(0, order - gf.shift)
-    p = []
-    dmax = len(den) - 1
-    for k in range(body):
-        acc = num[k] if k < len(num) else zero
-        for j in range(1, min(k, dmax) + 1):
-            dj = den[j]
-            if not _is_zero(dj):
-                acc = acc - dj * p[k - j]
-        p.append(acc)
-    coeffs = [zero] * min(gf.shift, order) + p
+    if kind is IntPoly:
+        p = _expand_polys(gf.numerator, gf.denominator, body)
+    else:
+        p = _expand_scalars(gf.numerator, gf.denominator, body, kind is Fraction)
+    coeffs = [_ZERO_OF[kind]] * min(gf.shift, order) + p
     return PowerSeries(tuple(coeffs[:order]))
 
 
-def _is_zero(c: Coeff) -> bool:
-    return c == 0
+def _expand_polys(num, den, body: int) -> list:
+    def ints(c):
+        return c.coeffs if isinstance(c, IntPoly) else IntPoly.constant(c).coeffs
+    heads = [ints(c) for c in num]
+    # (j, nonzero (power, coefficient) terms of den_j), ascending in j
+    terms = []
+    for j in range(1, len(den)):
+        nonzero = [(e, c) for e, c in enumerate(ints(den[j])) if c]
+        if nonzero:
+            terms.append((j, nonzero))
+    p: list = []
+    for k in range(body):
+        acc = list(heads[k]) if k < len(heads) else []
+        for j, nonzero in terms:
+            if j > k:
+                break
+            prev = p[k - j]
+            width = len(prev)
+            if not width:
+                continue
+            need = nonzero[-1][0] + width
+            if len(acc) < need:
+                acc.extend([0] * (need - len(acc)))
+            for e, c in nonzero:
+                acc[e:e + width] = [a - c * b for a, b in zip(acc[e:e + width], prev)]
+        while acc and acc[-1] == 0:
+            acc.pop()
+        p.append(acc)
+    return [IntPoly(c) for c in p]
+
+
+def _expand_scalars(num, den, body: int, fraction: bool) -> list:
+    # With P_k = c m^k p_k the recurrence runs on integers once every
+    # m^j den_j and c m^k num_k is one.  m takes from each den_j only the
+    # part of its denominator that m^j lacks, so denominators q^(2j), as at
+    # x = p/q, give m = q^2 and P_k stays near the size of p_k itself.
+    m = 1
+    for j in range(1, len(den)):
+        e = den[j].denominator
+        m *= e // gcd(e, m ** j)
+    c = 1
+    for k, a in enumerate(num):
+        e = a.denominator
+        c = lcm(c, e // gcd(e, m ** k))
+    heads = [a.numerator * (c * m ** k // a.denominator) for k, a in enumerate(num)]
+    terms = [(j, d.numerator * (m ** j // d.denominator))    # ascending in j
+             for j, d in enumerate(den) if j and d]
+    p: list = []
+    out = []
+    scale = c        # c m^k
+    for k in range(body):
+        acc = heads[k] if k < len(heads) else 0
+        for j, t in terms:
+            if j > k:
+                break
+            acc -= t * p[k - j]
+        p.append(acc)
+        out.append(Fraction(acc, scale) if fraction else acc)
+        scale *= m
+    return out
 
 
 # -- generic non-homogeneous third-order clearing -----------------------------
@@ -255,7 +332,7 @@ _X2 = IntPoly.monomial(1, 2)
 def _at(gf: RationalGF, x: Fraction) -> RationalGF:
     # Substitute x into a symbolic pair; see the module docstring.
     def sub(coeffs):
-        return tuple(Fraction(c.evaluate(x)) for c in coeffs)
+        return tuple(c.evaluate(x) for c in coeffs)
     return RationalGF(sub(gf.numerator), sub(gf.denominator), gf.shift)
 
 
@@ -306,7 +383,7 @@ def w_gf(s: int, x: XMode = None) -> RationalGF:
     lin_m = _zmul((_X, IntPoly.constant(2)), (_ONE, -_X2), _ZERO)  # (x + 2z)(1 - x^2 z)
     numerator = _zadd(q_s.numerator, _zmul(lin_m, q_prev.numerator, _ZERO))
     repair = tribonacci_poly(2 * s - 2)
-    if not _is_zero(repair):
+    if repair:
         numerator = _zadd(numerator, _zscale(q_s.denominator, repair + repair))
     return RationalGF(numerator, q_s.denominator, 2 * s)
 
@@ -338,7 +415,7 @@ def direct_incomplete_coeff(family: IncompleteFamily, n: int, s: int,
         p = incomplete_tl_poly(n, s)
     if x is None:
         return p
-    return Fraction(p.evaluate(Fraction(x)))
+    return p.evaluate(Fraction(x))
 
 
 @dataclass(frozen=True)

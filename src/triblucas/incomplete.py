@@ -32,6 +32,7 @@ from .poly import IntPoly
 from .sequences import tribonacci_lucas_number, tribonacci_lucas_poly
 from .triangles import (
     exact_div,
+    triangle_entry_number,
     triangle_entry_poly,
     weighted_binomial_diagonal_sum,
 )
@@ -101,9 +102,12 @@ def incomplete_tribonacci_poly(n: int, s: int) -> IntPoly:
     return IntPoly.from_terms(terms)
 
 
+@lru_cache(maxsize=None)
 def incomplete_tribonacci_number(n: int, s: int) -> int:
-    """T_n(s) = T_n^(s)(1)."""
-    return incomplete_tribonacci_poly(n, s).evaluate(1)
+    """T_n(s) = T_n^(s)(1): the truncated double sum of binomials in ``int``."""
+    check_domain(IncompleteFamily.INC_TRIBONACCI, n, s)
+    return sum(comb(i, j) * comb(n - i - j - 1, i)
+               for i in range(s + 1) for j in range(i + 1))
 
 
 @lru_cache(maxsize=None)
@@ -142,8 +146,9 @@ def incomplete_tl_poly(n: int, s: int, method: str = TRIANGLE_SUM) -> IntPoly:
 
 @lru_cache(maxsize=None)
 def incomplete_tl_number(n: int, s: int) -> int:
-    """K_n(s) = K_n^(s)(1)."""
-    return incomplete_tl_poly(n, s).evaluate(1)
+    """K_n(s) = K_n^(s)(1): the level-s partial sum of the number triangle."""
+    check_domain(IncompleteFamily.INC_TRIBONACCI_LUCAS, n, s)
+    return sum(triangle_entry_number(n - i, i) for i in range(s + 1))
 
 
 # Boundary closed forms read off the first/last columns of the incomplete
@@ -281,17 +286,28 @@ def recurrence_step(n: int, s: int, variant: str) -> Tuple:
     hom_poly_37:     K_{n+3}^(s+1) vs x^2 K_{n+2}^(s+1) + x K_{n+1}^(s) + K_n^(s)
     nonhom_poly_38:  K_{n+3}^(s)   vs x^2 K_{n+2}^(s) + x K_{n+1}^(s) + K_n^(s)
                                       - x B(n+1-s, s)(x) - B(n-s, s)(x)
-    hom_num_39 / nonhom_num_310: the same at x = 1
+    hom_num_39 / nonhom_num_310: the same at x = 1, from the number families
     tri_nonhom_15:   T_{n+3}^(s)   vs x^2 T_{n+2}^(s) + x T_{n+1}^(s) + T_n^(s)
                                       - the two binomial correction sums
     """
-    if variant in (HOM_POLY_37, HOM_NUM_39):
+    if variant == HOM_NUM_39:
+        check_domain(IncompleteFamily.INC_TRIBONACCI_LUCAS, n, s)
+        return (incomplete_tl_number(n + 3, s + 1),
+                incomplete_tl_number(n + 2, s + 1) + incomplete_tl_number(n + 1, s)
+                + incomplete_tl_number(n, s))
+    if variant == NONHOM_NUM_310:
+        check_domain(IncompleteFamily.INC_TRIBONACCI_LUCAS, n, s)
+        return (incomplete_tl_number(n + 3, s),
+                incomplete_tl_number(n + 2, s) + incomplete_tl_number(n + 1, s)
+                + incomplete_tl_number(n, s)
+                - triangle_entry_number(n + 1 - s, s) - triangle_entry_number(n - s, s))
+    if variant == HOM_POLY_37:
         check_domain(IncompleteFamily.INC_TRIBONACCI_LUCAS, n, s)
         direct = incomplete_tl_poly(n + 3, s + 1)
         assembled = (incomplete_tl_poly(n + 2, s + 1).shifted(2)
                      + incomplete_tl_poly(n + 1, s).shifted(1)
                      + incomplete_tl_poly(n, s))
-    elif variant in (NONHOM_POLY_38, NONHOM_NUM_310):
+    elif variant == NONHOM_POLY_38:
         check_domain(IncompleteFamily.INC_TRIBONACCI_LUCAS, n, s)
         direct = incomplete_tl_poly(n + 3, s)
         assembled = (incomplete_tl_poly(n + 2, s).shifted(2)
@@ -308,8 +324,6 @@ def recurrence_step(n: int, s: int, variant: str) -> Tuple:
                      - _eq15_corrections(n, s))
     else:
         raise DomainError(f"unknown recurrence variant {variant!r}")
-    if variant in (HOM_NUM_39, NONHOM_NUM_310):
-        return direct.evaluate(1), assembled.evaluate(1)
     return direct, assembled
 
 

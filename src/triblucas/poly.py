@@ -193,7 +193,20 @@ class IntPoly:
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, x0: Union[int, Fraction]) -> Union[int, Fraction]:
-        """Exact Horner evaluation; the result type follows the input type."""
+        """Exact Horner evaluation; the result type follows the input type.
+
+        At a ``Fraction`` x0 = p/q of a degree-d polynomial the sum
+        sum_k c_k p^k q^(d-k) is accumulated in ``int`` and divided by q^d
+        once, so only one ``Fraction`` is built (``Fraction(0)`` for the
+        zero polynomial).
+        """
+        if isinstance(x0, Fraction):
+            p, q = x0.numerator, x0.denominator
+            acc, scale = 0, 1
+            for c in reversed(self._coeffs):
+                acc = acc * p + c * scale
+                scale *= q
+            return Fraction(acc * q, scale)
         acc: Union[int, Fraction] = 0
         for c in reversed(self._coeffs):
             acc = acc * x0 + c
@@ -237,7 +250,7 @@ def poly_mul(p: IntPoly, q: IntPoly) -> IntPoly:
 
 def poly_eval(p: IntPoly, x0: Union[int, Fraction]) -> Fraction:
     """Exact value of p at x0, always as a Fraction (integer-valued for int x0)."""
-    return Fraction(p.evaluate(Fraction(x0)))
+    return p.evaluate(Fraction(x0))
 
 
 def poly_format(p: IntPoly) -> str:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, List, Sequence, TypeVar
 
 import mpmath
@@ -124,11 +125,19 @@ class BinetRoots:
 def binet_roots(precision: int = 64) -> BinetRoots:
     """Characteristic roots by complex root-finding at ``precision`` bits.
 
-    Vieta residuals are guaranteed below 2^(-precision/2); a failure of that
-    bound raises :class:`NumericalInstabilityError`.
+    The cubic is solved once per precision and the result memoised.  Vieta
+    residuals are guaranteed below 2^(-precision/2); a failure of that bound
+    raises :class:`NumericalInstabilityError`.
     """
     if precision < 53:
         raise DomainError(f"precision must be at least 53 bits, got {precision}")
+    return _solved_roots(precision)
+
+
+@lru_cache(maxsize=None)
+def _solved_roots(precision: int) -> BinetRoots:
+    # One solve per precision: the roots are immutable and do not depend on
+    # the caller's mpmath context, because workprec sets it absolutely.
     with mpmath.workprec(precision + 16):
         roots = [mpmath.mpc(r)
                  for r in mpmath.polyroots([1, -1, -1, -1], extraprec=precision)]

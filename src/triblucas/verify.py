@@ -207,8 +207,12 @@ def _check_prop3(rng: SweepRange) -> Iterator[Point]:
 def _check_cor4(rng: SweepRange) -> Iterator[Point]:
     for n in range(3, rng.n_max + 1):
         for s in range(1, (n - 1) // 2 + 1):
-            yield ([("n", n), ("s", s)], inc.tl_relation_rhs(n, s).evaluate(1),
-                   inc.incomplete_tl_number(n, s))
+            # T_{n+1}(s) + T_{n-1}(s-1) + 2 T_{n-2}(s-1) from the Tribonacci
+            # double sum, against K_n(s) from the number triangle
+            lhs = (inc.incomplete_tribonacci_number(n + 1, s)
+                   + inc.incomplete_tribonacci_number(n - 1, s - 1)
+                   + 2 * inc.incomplete_tribonacci_number(n - 2, s - 1))
+            yield [("n", n), ("s", s)], lhs, inc.incomplete_tl_number(n, s)
 
 
 def _check_thm5(rng: SweepRange) -> Iterator[Point]:

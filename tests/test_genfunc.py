@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from triblucas import genfunc
 from triblucas.errors import DomainError, ExpansionError
 from triblucas.genfunc import (
     GFVariant,
@@ -259,3 +262,61 @@ def test_serialization_shapes():
 def test_negative_shift_rejected():
     with pytest.raises(DomainError):
         RationalGF((1,), (1,), shift=-1)
+
+
+def _generic_expand(gf, order):
+    # The expansion loop both kernels replaced: generic ring arithmetic.
+    den, num = gf.denominator, gf.numerator
+    zero = den[0] * 0
+    p = []
+    for k in range(max(0, order - gf.shift)):
+        acc = num[k] if k < len(num) else zero
+        for j in range(1, min(k, len(den) - 1) + 1):
+            if den[j] != 0:
+                acc = acc - den[j] * p[k - j]
+        p.append(acc)
+    return tuple(([zero] * min(gf.shift, order) + p)[:order])
+
+
+_polys = st.builds(IntPoly, st.lists(st.integers(-9, 9), max_size=6))
+_fracs = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+
+
+def _pairs(coeff, one):
+    # Inner denominator coefficients are often zero, as in (1 - x^2 z)^(s+1).
+    inner = st.one_of(st.just(one * 0), coeff)
+    return st.tuples(st.lists(coeff, max_size=6),
+                     st.lists(inner, max_size=6).map(lambda d: [one] + d))
+
+
+@settings(max_examples=150)
+@given(st.one_of(_pairs(_polys, IntPoly.one()), _pairs(st.integers(-9, 9), 1),
+                 _pairs(_fracs, Fraction(1))),
+       st.integers(0, 8), st.integers(0, 14))
+def test_expansion_kernels_match_the_generic_loop(pair, shift, order):
+    gf = RationalGF(tuple(pair[0]), tuple(pair[1]), shift)
+    got = series_expand(gf, order).coeffs
+    want = _generic_expand(gf, order)
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]
+
+
+def test_mixed_int_and_intpoly_pair_expands_to_intpolys():
+    x2 = IntPoly.monomial(1, 2)
+    got = series_expand(RationalGF((1, 0), (1, -x2)), 4).coeffs
+    assert got == (1, x2, IntPoly.monomial(1, 4), IntPoly.monomial(1, 6))
+    assert all(type(c) is IntPoly for c in got)
+
+
+@pytest.mark.parametrize("int_first", [True, False])
+def test_expansion_memo_keeps_coefficient_types(int_first):
+    # Equal int and Fraction pairs compare and hash alike; the memo must not
+    # hand one kind's expansion to the other.
+    genfunc._expand_cached.cache_clear()
+    int_gf = RationalGF((1,), (1, -1))
+    frac_gf = RationalGF((Fraction(1),), (Fraction(1), Fraction(-1)))
+    order = [int_gf, frac_gf] if int_first else [frac_gf, int_gf]
+    for gf in order:
+        series_expand(gf, 4)
+    assert [type(c) for c in series_expand(int_gf, 4).coeffs] == [int] * 4
+    assert [type(c) for c in series_expand(frac_gf, 4).coeffs] == [Fraction] * 4

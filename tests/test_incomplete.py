@@ -80,6 +80,17 @@ def test_incomplete_tl_poly_table3():
         assert incomplete_tl_poly(n, s) == poly_parse(text), (n, s)
 
 
+def test_number_families_equal_the_polynomials_at_1():
+    # The number families are computed in int, independently of the
+    # polynomial families they specialise.
+    for n in range(41):
+        for s in range(n // 2 + 1):
+            assert incomplete_tl_number(n, s) == incomplete_tl_poly(n, s).evaluate(1)
+            if n >= 1 and s <= (n - 1) // 2:
+                assert (incomplete_tribonacci_number(n, s)
+                        == incomplete_tribonacci_poly(n, s).evaluate(1)), (n, s)
+
+
 def test_incomplete_tl_number_table4():
     for (n, s), value in TABLE_4.items():
         assert incomplete_tl_number(n, s) == value, (n, s)

@@ -150,3 +150,35 @@ def test_eval_is_ring_homomorphism(p, q, x0):
 @given(small_polys)
 def test_parse_format_roundtrip(p):
     assert poly_parse(poly_format(p)) == p
+
+
+def _fraction_horner(p, x0):
+    # The evaluation IntPoly.evaluate replaced: Horner over Fraction.
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x0 + c
+    return acc
+
+
+wide_points = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6)))
+
+
+@settings(max_examples=300)
+@given(st.one_of(small_polys, st.builds(IntPoly.constant, st.integers(-50, 50))),
+       wide_points)
+def test_integer_horner_matches_fraction_horner(p, x0):
+    got = p.evaluate(x0)
+    assert type(got) is Fraction
+    assert got == _fraction_horner(p, x0)
+    if x0.denominator == 1:
+        at_int = p.evaluate(x0.numerator)
+        assert type(at_int) is int and at_int == got
+
+
+def test_zero_polynomial_keeps_the_input_type():
+    assert type(IntPoly.zero().evaluate(Fraction(2, 3))) is Fraction
+    assert type(IntPoly.zero().evaluate(Fraction(0))) is Fraction
+    assert type(IntPoly.zero().evaluate(5)) is int
+    assert type(IntPoly([0, 0, 1]).evaluate(Fraction(0))) is Fraction

@@ -84,6 +84,12 @@ def test_binet_roots_alpha_and_vieta():
     assert max(residuals) < mpmath.mpf(2) ** (-roots.precision / 2)
 
 
+def test_binet_roots_are_solved_once_per_precision():
+    first, second = binet_roots(64), binet_roots(64)
+    assert first == second
+    assert first is second
+
+
 def test_binet_roots_match_radical_expressions():
     found = binet_roots(80)
     radical = binet_roots_from_radicals(80)

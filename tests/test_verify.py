@@ -120,6 +120,12 @@ def test_determinism_byte_identical_json():
         SMALL, x_points=(Fraction(3, 5), Fraction(-2), Fraction(7, 3)))
     assert _sha256(reports_to_json(run_all(other_x))) == (
         "d025ae1bf92ae68a286739f6720d66ae7d994ca724913fcdcf4dcaf1330c06f8")
+    # Denominators above 2 at a wider range reach the common-denominator
+    # expansion kernel with large scales.
+    wider = SweepRange(n_max=14, s_max=4, h_max=4, order=32,
+                       x_points=(Fraction(-5, 7), Fraction(9, 4), Fraction(-3)))
+    assert _sha256(reports_to_json(run_all(wider))) == (
+        "db30a37c8aa37367038b8551522bfbdcc6bd10acdceb0765981c604d641a73c5")
 
 
 def test_binet_tolerance_is_exact_beyond_float_range():
