@@ -166,7 +166,12 @@ def series_expand(gf: RationalGF, order: int) -> PowerSeries:
 
     - a pair with ``IntPoly`` coefficients (``int`` ones are promoted) runs
       p_k = num_k - sum_j den_j p_(k-j) on the x-coefficient lists,
-      multiplying only by the nonzero terms of each den_j;
+      multiplying only by the nonzero terms of each den_j.  When the pair
+      is graded, that is every term x^a of den_j has a = t j and every term
+      of num_k has a = r + t k (mod g), each p_k lives on the powers
+      a = r + t k (mod g) alone, and the lists hold only those.  Every
+      Q_s and W_s pair has g = 3, which cuts the kernel's time about in
+      half; an ungraded pair runs the same loop with g = 1;
     - an ``int``/``Fraction`` pair runs
       P_k = c m^k num_k - sum_j (m^j den_j) P_(k-j) on integers, with m and
       c built from the coefficient denominators so that every m^j den_j
@@ -206,20 +211,58 @@ def _expand_cached(gf: RationalGF, order: int, kind: type) -> PowerSeries:
     return PowerSeries(tuple(coeffs[:order]))
 
 
+def _grading(heads, dens) -> Tuple[int, int, int]:
+    """(g, t, r) such that every term x^a of den_j has a = t j and every term
+    of num_k has a = r + t k (mod g), from x-coefficient lists.
+
+    The term vectors (j, a) of den_j (j >= 1) and the differences of the
+    num_k term vectors span a lattice; its Hermite basis (d, u), (0, g)
+    gives t = u when d <= 1.  A pair with d > 1 or g < 2 is not graded and
+    gets (1, 0, 0).  Every Q_s and W_s pair has g = 3 and t = 2.
+    """
+    vectors = [(j, a) for j in range(1, len(dens))
+               for a, c in enumerate(dens[j]) if c]
+    terms = [(k, a) for k, coeffs in enumerate(heads)
+             for a, c in enumerate(coeffs) if c]
+    vectors += [(k - terms[0][0], a - terms[0][1]) for k, a in terms[1:]]
+    d = u = g = 0
+    for vector in vectors:
+        row, other = (d, u), vector
+        while other[0]:                      # Euclid on the j components
+            q = row[0] // other[0]
+            row, other = other, (row[0] - q * other[0], row[1] - q * other[1])
+        d, u = row if row[0] >= 0 else (-row[0], -row[1])
+        g = gcd(g, other[1])
+    if d > 1 or g < 2:
+        return 1, 0, 0
+    t = u % g
+    return g, t, (terms[0][1] - t * terms[0][0]) % g if terms else 0
+
+
 def _expand_polys(num, den, body: int) -> list:
+    # p_k lives on the exponents rho_k + g b, rho_k = (r + t k) mod g (see
+    # _grading), so each list holds only the coefficients at those powers;
+    # den_j's term x^e then adds into p_k at index b + (e + rho_(k-j) - rho_k)/g.
     def ints(c):
         return c.coeffs if isinstance(c, IntPoly) else IntPoly.constant(c).coeffs
     heads = [ints(c) for c in num]
-    # (j, nonzero (power, coefficient) terms of den_j), ascending in j
-    terms = []
-    for j in range(1, len(den)):
-        nonzero = [(e, c) for e, c in enumerate(ints(den[j])) if c]
-        if nonzero:
-            terms.append((j, nonzero))
+    dens = [ints(c) for c in den]
+    g, t, r = _grading(heads, dens)
+    rho = [(r + t * k) % g for k in range(g)]     # rho_k depends on k mod g
+    # per k mod g: (j, nonzero (offset, coefficient) terms of den_j), ascending in j
+    phases = []
+    for phase in range(g):
+        terms = []
+        for j in range(1, len(dens)):
+            back = rho[(phase - j) % g] - rho[phase]
+            nonzero = [((e + back) // g, c) for e, c in enumerate(dens[j]) if c]
+            if nonzero:
+                terms.append((j, nonzero))
+        phases.append(terms)
     p: list = []
     for k in range(body):
-        acc = list(heads[k]) if k < len(heads) else []
-        for j, nonzero in terms:
+        acc = list(heads[k][rho[k % g]::g]) if k < len(heads) else []
+        for j, nonzero in phases[k % g]:
             if j > k:
                 break
             prev = p[k - j]
@@ -234,7 +277,12 @@ def _expand_polys(num, den, body: int) -> list:
         while acc and acc[-1] == 0:
             acc.pop()
         p.append(acc)
-    return [IntPoly(c) for c in p]
+    out = []
+    for k, compressed in enumerate(p):
+        full = [0] * (g * len(compressed))
+        full[rho[k % g]::g] = compressed
+        out.append(IntPoly(full))
+    return out
 
 
 def _expand_scalars(num, den, body: int, fraction: bool) -> list:

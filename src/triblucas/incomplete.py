@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
-from typing import Tuple
+from typing import List, Tuple
 
 from .errors import DomainError, InternalConsistencyError
 from .poly import IntPoly
-from .sequences import tribonacci_lucas_number, tribonacci_lucas_poly
+from .sequences import _GrowingCache, tribonacci_lucas_number, tribonacci_lucas_poly
 from .triangles import (
     exact_div,
     triangle_entry_number,
@@ -102,12 +102,25 @@ def incomplete_tribonacci_poly(n: int, s: int) -> IntPoly:
     return IntPoly.from_terms(terms)
 
 
-@lru_cache(maxsize=None)
 def incomplete_tribonacci_number(n: int, s: int) -> int:
-    """T_n(s) = T_n^(s)(1): the truncated double sum of binomials in ``int``."""
+    """T_n(s) = T_n^(s)(1): the truncated double sum of binomials in ``int``.
+
+    Each level i of the sum is added once to the memoised T_n(i - 1), so
+    T_n(0), T_n(1), ... grow together per n.
+    """
     check_domain(IncompleteFamily.INC_TRIBONACCI, n, s)
-    return sum(comb(i, j) * comb(n - i - j - 1, i)
-               for i in range(s + 1) for j in range(i + 1))
+    return _number_levels(n).get(s)
+
+
+@lru_cache(maxsize=None)
+def _number_levels(n: int) -> _GrowingCache:
+    return _GrowingCache([], partial(_add_level, n))
+
+
+def _add_level(n: int, sums: List[int]) -> int:
+    i = len(sums)
+    level = sum(comb(i, j) * comb(n - i - j - 1, i) for j in range(i + 1))
+    return sums[-1] + level if sums else level
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,10 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triblucas import genfunc
@@ -265,8 +267,12 @@ def test_negative_shift_rejected():
 
 
 def _generic_expand(gf, order):
-    # The expansion loop both kernels replaced: generic ring arithmetic.
+    # The expansion loop both kernels replaced: generic ring arithmetic.  A
+    # pair holding an IntPoly has its int coefficients promoted first, as
+    # series_expand documents.
     den, num = gf.denominator, gf.numerator
+    if any(isinstance(c, IntPoly) for c in num + den):
+        den, num = _promoted(den), _promoted(num)
     zero = den[0] * 0
     p = []
     for k in range(max(0, order - gf.shift)):
@@ -289,16 +295,89 @@ def _pairs(coeff, one):
                      st.lists(inner, max_size=6).map(lambda d: [one] + d))
 
 
-@settings(max_examples=150)
+def _promoted(coeffs):
+    return tuple(c if isinstance(c, IntPoly) else IntPoly.constant(c) for c in coeffs)
+
+
+@st.composite
+def _graded_pairs(draw):
+    # den_j terms at x^a with a = t j and num_k terms at a = r + t k (mod g);
+    # int coefficients sit where the residue is 0 and get promoted.
+    g = draw(st.integers(2, 4))
+    t = draw(st.integers(0, g - 1))
+    r = draw(st.integers(0, g - 1))
+
+    def coeff(residue):
+        cs = draw(st.lists(st.integers(-9, 9), max_size=4))
+        if residue == 0 and len(cs) <= 1 and draw(st.booleans()):
+            return cs[0] if cs else 0
+        full = [0] * (g * len(cs))
+        full[residue::g] = cs
+        return IntPoly(full)
+
+    num = [coeff((r + t * k) % g) for k in range(draw(st.integers(0, 6)))]
+    den = [IntPoly.one()] + [coeff(t * j % g)
+                             for j in range(1, draw(st.integers(1, 7)))]
+    return num, den
+
+
+def _assert_graded(gf):
+    # The grading _expand_polys detects must hold term by term, so that
+    # every offset (e + rho_(k-j) - rho_k) / g it uses is an exact,
+    # nonnegative integer.
+    heads = [c.coeffs for c in _promoted(gf.numerator)]
+    dens = [c.coeffs for c in _promoted(gf.denominator)]
+    g, t, r = genfunc._grading(heads, dens)
+
+    def rho(k):
+        return (r + t * k) % g
+    for k, coeffs in enumerate(heads):
+        assert all((a - rho(k)) % g == 0 for a, c in enumerate(coeffs) if c)
+    for k in range(g):
+        for j in range(1, len(dens)):
+            for e, c in enumerate(dens[j]):
+                if c:
+                    offset, rest = divmod(e + rho(k - j) - rho(k), g)
+                    assert rest == 0 and offset >= 0, (g, t, r, j, e)
+
+
+_X = IntPoly.x()
+_X2 = IntPoly.monomial(1, 2)
+
+
+@settings(max_examples=200)
 @given(st.one_of(_pairs(_polys, IntPoly.one()), _pairs(st.integers(-9, 9), 1),
-                 _pairs(_fracs, Fraction(1))),
+                 _pairs(_fracs, Fraction(1)), _graded_pairs()),
        st.integers(0, 8), st.integers(0, 14))
+# Graded with g = 3, t = 2 but for the x term of num_1, so it must run as
+# g = 1: _assert_graded fails here for any g > 1.
+@example(([1, _X2 + _X, 5 * _X], [1, -_X2, -_X, -1]), 0, 14)
 def test_expansion_kernels_match_the_generic_loop(pair, shift, order):
     gf = RationalGF(tuple(pair[0]), tuple(pair[1]), shift)
     got = series_expand(gf, order).coeffs
     want = _generic_expand(gf, order)
     assert got == want
     assert [type(c) for c in got] == [type(c) for c in want]
+    if any(isinstance(c, IntPoly) for c in gf.numerator + gf.denominator):
+        _assert_graded(gf)
+
+
+def test_symbolic_series_at_order_96_are_pinned():
+    # Q_s (both variants, s <= 12) and W_s (1 <= s <= 12) at the largest
+    # order the query-mix benchmark asks for.  Every pair is graded with
+    # g = 3, t = 2, so this covers the graded kernel's offsets at high k,
+    # past the order-48 pins of the verify sweep.  The digest was taken
+    # from the ungraded kernel.
+    digest = hashlib.sha256()
+    pairs = [q_gf(s, variant) for s in range(13) for variant in GFVariant]
+    pairs += [w_gf(s) for s in range(1, 13)]
+    for gf in pairs:
+        heads = [c.coeffs for c in gf.numerator]
+        dens = [c.coeffs for c in gf.denominator]
+        assert genfunc._grading(heads, dens)[:2] == (3, 2)
+        digest.update(json.dumps(series_expand(gf, 96).to_json_list()).encode())
+    assert digest.hexdigest() == (
+        "07f05b99f5d23ec7b38af5d6f287fbf9678da47de845fee21919dc7a19d304ce")
 
 
 def test_mixed_int_and_intpoly_pair_expands_to_intpolys():
