@@ -2,7 +2,10 @@
 
 Every generating function is normalized to a single numerator/denominator
 pair of z-polynomials whose denominator has unit constant term, so series
-expansion needs no coefficient division and stays exact.  The pair is
+expansion needs no coefficient division and stays exact.  Q_s and W_s
+also keep their denominator as its factors 1 - x^2 z - x z^2 - z^3 and
+(1 - x^2 z)^(s+1): symbolic expansion divides by one factor at a time,
+and every coefficient of a factor is a single monomial in x.  The pair is
 built once over integer polynomials in x (the symbolic mode).  For a
 rational x the memoised symbolic pair is evaluated at x coefficient by
 coefficient, giving exact rational coefficients: evaluation is a ring
@@ -42,7 +45,7 @@ which is what the verification sweeps require.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -92,18 +95,31 @@ class RationalGF:
     """numerator/denominator pair of z-polynomials times a z^shift prefactor.
 
     The denominator's z^0 coefficient must be the unit of the coefficient
-    ring, which keeps expansion division-free.
+    ring, which keeps expansion division-free.  ``factors``, when given,
+    are z-polynomials with unit constant term whose product is the
+    denominator; symbolic expansion then divides by each in turn.  They
+    take no part in equality, hashing or serialization.
     """
 
     numerator: Tuple[Coeff, ...]
     denominator: Tuple[Coeff, ...]
     shift: int = 0
+    factors: Tuple[Tuple[Coeff, ...], ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if self.shift < 0:
             raise DomainError(f"shift must be nonnegative, got {self.shift}")
         if not self.denominator or not _is_one(self.denominator[0]):
             raise ExpansionError("denominator constant term must be 1")
+        if not self.factors:
+            return
+        if not all(f and _is_one(f[0]) for f in self.factors):
+            raise ExpansionError("factor constant terms must be 1")
+        product = self.factors[0]
+        for f in self.factors[1:]:
+            product = _zmul(product, f, product[0] * 0)
+        if product != self.denominator:
+            raise ExpansionError("factors must multiply to the denominator")
 
     def to_json_dict(self) -> dict:
         return {
@@ -164,14 +180,14 @@ def series_expand(gf: RationalGF, order: int) -> PowerSeries:
     exactly because the denominator's constant term is 1), then applies the
     z^shift prefactor and re-truncates.  Both kernels accumulate in ``int``:
 
-    - a pair with ``IntPoly`` coefficients (``int`` ones are promoted) runs
-      p_k = num_k - sum_j den_j p_(k-j) on the x-coefficient lists,
-      multiplying only by the nonzero terms of each den_j.  When the pair
-      is graded, that is every term x^a of den_j has a = t j and every term
-      of num_k has a = r + t k (mod g), each p_k lives on the powers
-      a = r + t k (mod g) alone, and the lists hold only those.  Every
-      Q_s and W_s pair has g = 3, which cuts the kernel's time about in
-      half; an ungraded pair runs the same loop with g = 1;
+    - a pair with ``IntPoly`` coefficients (``int`` ones are promoted)
+      divides by each of its ``factors`` in turn, or by the denominator when
+      it has none: one pass runs p_k = num_k - sum_j den_j p_(k-j) on the
+      x-coefficient lists, multiplying only by the nonzero terms of each
+      den_j, and its output is the next pass's numerator.  Q_s and W_s
+      carry the factors 1 - x^2 z - x z^2 - z^3 and s+1 times 1 - x^2 z,
+      whose coefficients are single monomials in x; their product has
+      s+4 coefficients with up to three binomial terms each;
     - an ``int``/``Fraction`` pair runs
       P_k = c m^k num_k - sum_j (m^j den_j) P_(k-j) on integers, with m and
       c built from the coefficient denominators so that every m^j den_j
@@ -204,85 +220,44 @@ _ZERO_OF = {IntPoly: IntPoly.zero(), Fraction: Fraction(0), int: 0}
 def _expand_cached(gf: RationalGF, order: int, kind: type) -> PowerSeries:
     body = max(0, order - gf.shift)
     if kind is IntPoly:
-        p = _expand_polys(gf.numerator, gf.denominator, body)
+        p = _expand_polys(gf.numerator, gf.factors or (gf.denominator,), body)
     else:
         p = _expand_scalars(gf.numerator, gf.denominator, body, kind is Fraction)
     coeffs = [_ZERO_OF[kind]] * min(gf.shift, order) + p
     return PowerSeries(tuple(coeffs[:order]))
 
 
-def _grading(heads, dens) -> Tuple[int, int, int]:
-    """(g, t, r) such that every term x^a of den_j has a = t j and every term
-    of num_k has a = r + t k (mod g), from x-coefficient lists.
-
-    The term vectors (j, a) of den_j (j >= 1) and the differences of the
-    num_k term vectors span a lattice; its Hermite basis (d, u), (0, g)
-    gives t = u when d <= 1.  A pair with d > 1 or g < 2 is not graded and
-    gets (1, 0, 0).  Every Q_s and W_s pair has g = 3 and t = 2.
-    """
-    vectors = [(j, a) for j in range(1, len(dens))
-               for a, c in enumerate(dens[j]) if c]
-    terms = [(k, a) for k, coeffs in enumerate(heads)
-             for a, c in enumerate(coeffs) if c]
-    vectors += [(k - terms[0][0], a - terms[0][1]) for k, a in terms[1:]]
-    d = u = g = 0
-    for vector in vectors:
-        row, other = (d, u), vector
-        while other[0]:                      # Euclid on the j components
-            q = row[0] // other[0]
-            row, other = other, (row[0] - q * other[0], row[1] - q * other[1])
-        d, u = row if row[0] >= 0 else (-row[0], -row[1])
-        g = gcd(g, other[1])
-    if d > 1 or g < 2:
-        return 1, 0, 0
-    t = u % g
-    return g, t, (terms[0][1] - t * terms[0][0]) % g if terms else 0
-
-
-def _expand_polys(num, den, body: int) -> list:
-    # p_k lives on the exponents rho_k + g b, rho_k = (r + t k) mod g (see
-    # _grading), so each list holds only the coefficients at those powers;
-    # den_j's term x^e then adds into p_k at index b + (e + rho_(k-j) - rho_k)/g.
+def _expand_polys(num, factors, body: int) -> list:
+    # One pass per factor on plain int lists, each writing into the lists
+    # of the pass before; IntPolys are built only once, from the last pass.
     def ints(c):
         return c.coeffs if isinstance(c, IntPoly) else IntPoly.constant(c).coeffs
-    heads = [ints(c) for c in num]
-    dens = [ints(c) for c in den]
-    g, t, r = _grading(heads, dens)
-    rho = [(r + t * k) % g for k in range(g)]     # rho_k depends on k mod g
-    # per k mod g: (j, nonzero (offset, coefficient) terms of den_j), ascending in j
-    phases = []
-    for phase in range(g):
-        terms = []
-        for j in range(1, len(dens)):
-            back = rho[(phase - j) % g] - rho[phase]
-            nonzero = [((e + back) // g, c) for e, c in enumerate(dens[j]) if c]
+    p = [list(ints(c)) for c in num[:body]]
+    for den in factors:
+        terms = []      # (j, nonzero (power, coefficient) terms of den_j), ascending in j
+        for j in range(1, len(den)):
+            nonzero = [(e, c) for e, c in enumerate(ints(den[j])) if c]
             if nonzero:
                 terms.append((j, nonzero))
-        phases.append(terms)
-    p: list = []
-    for k in range(body):
-        acc = list(heads[k][rho[k % g]::g]) if k < len(heads) else []
-        for j, nonzero in phases[k % g]:
-            if j > k:
-                break
-            prev = p[k - j]
-            width = len(prev)
-            if not width:
-                continue
-            need = nonzero[-1][0] + width
-            if len(acc) < need:
-                acc.extend([0] * (need - len(acc)))
-            for e, c in nonzero:
-                acc[e:e + width] = [a - c * b for a, b in zip(acc[e:e + width], prev)]
-        while acc and acc[-1] == 0:
-            acc.pop()
-        p.append(acc)
-    out = []
-    for k, compressed in enumerate(p):
-        full = [0] * (g * len(compressed))
-        full[rho[k % g]::g] = compressed
-        out.append(IntPoly(full))
-    return out
+        heads, p = p, []
+        for k in range(body):
+            acc = heads[k] if k < len(heads) else []
+            for j, nonzero in terms:
+                if j > k:
+                    break
+                prev = p[k - j]
+                width = len(prev)
+                if not width:
+                    continue
+                need = nonzero[-1][0] + width
+                if len(acc) < need:
+                    acc.extend([0] * (need - len(acc)))
+                for e, c in nonzero:
+                    acc[e:e + width] = [a - c * b for a, b in zip(acc[e:e + width], prev)]
+            while acc and acc[-1] == 0:
+                acc.pop()
+            p.append(acc)
+    return [IntPoly(coeffs) for coeffs in p]
 
 
 def _expand_scalars(num, den, body: int, fraction: bool) -> list:
@@ -410,7 +385,7 @@ def q_gf(s: int, variant: GFVariant = GFVariant.CORRECTED,
     x_plus_z = _zpow((_X, _ONE), s)
     g = _zmul((_ZERO, _ZERO, _X, _ONE), x_plus_z, _ZERO)
     a = _zadd(_zmul(head, p, _ZERO), _zneg(g))
-    return RationalGF(a, _zmul(d, p, _ZERO), 2 * s + 1)
+    return RationalGF(a, _zmul(d, p, _ZERO), 2 * s + 1, (d,) + (m,) * (s + 1))
 
 
 @lru_cache(maxsize=None)
@@ -433,7 +408,7 @@ def w_gf(s: int, x: XMode = None) -> RationalGF:
     repair = tribonacci_poly(2 * s - 2)
     if repair:
         numerator = _zadd(numerator, _zscale(q_s.denominator, repair + repair))
-    return RationalGF(numerator, q_s.denominator, 2 * s)
+    return RationalGF(numerator, q_s.denominator, 2 * s, q_s.factors)
 
 
 @lru_cache(maxsize=None)

@@ -174,7 +174,7 @@ def _check_def1_methods(rng: SweepRange) -> Iterator[Point]:
     for n in range(rng.n_max_poly + 1):
         for s in range(n // 2 + 1):
             yield ([("n", n), ("s", s)],
-                   inc.incomplete_tl_poly(n, s, inc.TRIANGLE_SUM),
+                   inc.incomplete_tl_poly(n, s),
                    inc.incomplete_tl_poly(n, s, inc.BINOMIAL_SUM))
 
 

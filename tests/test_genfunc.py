@@ -321,60 +321,74 @@ def _graded_pairs(draw):
     return num, den
 
 
-def _assert_graded(gf):
-    # The grading _expand_polys detects must hold term by term, so that
-    # every offset (e + rho_(k-j) - rho_k) / g it uses is an exact,
-    # nonnegative integer.
-    heads = [c.coeffs for c in _promoted(gf.numerator)]
-    dens = [c.coeffs for c in _promoted(gf.denominator)]
-    g, t, r = genfunc._grading(heads, dens)
-
-    def rho(k):
-        return (r + t * k) % g
-    for k, coeffs in enumerate(heads):
-        assert all((a - rho(k)) % g == 0 for a, c in enumerate(coeffs) if c)
-    for k in range(g):
-        for j in range(1, len(dens)):
-            for e, c in enumerate(dens[j]):
-                if c:
-                    offset, rest = divmod(e + rho(k - j) - rho(k), g)
-                    assert rest == 0 and offset >= 0, (g, t, r, j, e)
+@st.composite
+def _factored_pairs(draw):
+    # 1-4 factors with unit constant term and often-zero inner coefficients,
+    # mixing IntPoly and int; the denominator is their product.
+    coeff = st.one_of(st.just(0), st.integers(-3, 3),
+                      st.builds(IntPoly, st.lists(st.integers(-3, 3), max_size=4)))
+    factor = st.builds(lambda one, rest: (one,) + tuple(rest),
+                       st.sampled_from([1, IntPoly.one()]), st.lists(coeff, max_size=3))
+    factors = draw(st.lists(factor, min_size=1, max_size=4))
+    den = [IntPoly.one()]
+    for f in factors:
+        den = _zmul(den, f)
+    return draw(st.lists(coeff, max_size=6)), den, tuple(factors)
 
 
 _X = IntPoly.x()
 _X2 = IntPoly.monomial(1, 2)
+# (1 - x^2 z)(1 + x^2 z^2), a factor with an int unit and an inner zero.
+_FACTORED = ([_X, 1], [1, -_X2, _X2, -_X2 * _X2], ((1, -_X2), (IntPoly.one(), 0, _X2)))
 
 
-@settings(max_examples=200)
+@settings(max_examples=250)
 @given(st.one_of(_pairs(_polys, IntPoly.one()), _pairs(st.integers(-9, 9), 1),
-                 _pairs(_fracs, Fraction(1)), _graded_pairs()),
+                 _pairs(_fracs, Fraction(1)), _graded_pairs(), _factored_pairs()),
        st.integers(0, 8), st.integers(0, 14))
-# Graded with g = 3, t = 2 but for the x term of num_1, so it must run as
-# g = 1: _assert_graded fails here for any g > 1.
+# A pair graded mod 3 but for the x term of num_1.
 @example(([1, _X2 + _X, 5 * _X], [1, -_X2, -_X, -1]), 0, 14)
+# A factored pair with shift >= order, and at order 0.
+@example(_FACTORED, 9, 4)
+@example(_FACTORED, 0, 0)
 def test_expansion_kernels_match_the_generic_loop(pair, shift, order):
-    gf = RationalGF(tuple(pair[0]), tuple(pair[1]), shift)
+    # Equal pairs with and without factors share one memo entry.
+    genfunc._expand_cached.cache_clear()
+    gf = RationalGF(tuple(pair[0]), tuple(pair[1]), shift, *pair[2:])
     got = series_expand(gf, order).coeffs
     want = _generic_expand(gf, order)
     assert got == want
     assert [type(c) for c in got] == [type(c) for c in want]
-    if any(isinstance(c, IntPoly) for c in gf.numerator + gf.denominator):
-        _assert_graded(gf)
+    if gf.factors:
+        genfunc._expand_cached.cache_clear()
+        plain = series_expand(RationalGF(gf.numerator, gf.denominator, shift), order)
+        assert plain.coeffs == got
+        assert [type(c) for c in plain.coeffs] == [type(c) for c in got]
+
+
+def test_factors_must_have_unit_terms_and_multiply_to_the_denominator():
+    x2 = IntPoly.monomial(1, 2)
+    m = (IntPoly.one(), -x2)
+    RationalGF((1,), (1, -2 * x2, x2 * x2), factors=(m, m))
+    with pytest.raises(ExpansionError):
+        RationalGF((1,), (2, -4), factors=((2,), (1, -2)))
+    with pytest.raises(ExpansionError):
+        RationalGF((1,), (1, -2), factors=((1, -1), ()))
+    with pytest.raises(ExpansionError):
+        RationalGF((1,), (1, -x2), factors=(m, m))
 
 
 def test_symbolic_series_at_order_96_are_pinned():
     # Q_s (both variants, s <= 12) and W_s (1 <= s <= 12) at the largest
-    # order the query-mix benchmark asks for.  Every pair is graded with
-    # g = 3, t = 2, so this covers the graded kernel's offsets at high k,
-    # past the order-48 pins of the verify sweep.  The digest was taken
-    # from the ungraded kernel.
+    # order the query-mix benchmark asks for, past the order-48 pins of the
+    # verify sweep.  Every pair carries its s + 2 denominator factors, so
+    # this covers the factor-by-factor division at high k.  The digest was
+    # taken from the kernel that divided by the expanded product.
     digest = hashlib.sha256()
-    pairs = [q_gf(s, variant) for s in range(13) for variant in GFVariant]
-    pairs += [w_gf(s) for s in range(1, 13)]
-    for gf in pairs:
-        heads = [c.coeffs for c in gf.numerator]
-        dens = [c.coeffs for c in gf.denominator]
-        assert genfunc._grading(heads, dens)[:2] == (3, 2)
+    pairs = [(s, q_gf(s, variant)) for s in range(13) for variant in GFVariant]
+    pairs += [(s, w_gf(s)) for s in range(1, 13)]
+    for s, gf in pairs:
+        assert len(gf.factors) == s + 2
         digest.update(json.dumps(series_expand(gf, 96).to_json_list()).encode())
     assert digest.hexdigest() == (
         "07f05b99f5d23ec7b38af5d6f287fbf9678da47de845fee21919dc7a19d304ce")

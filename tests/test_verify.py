@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from triblucas import incomplete as inc
 from triblucas.errors import UnknownIdentityError
 from triblucas.sequences import SequenceFamily, binet_estimate, tribonacci_number
 from triblucas.verify import (
@@ -73,6 +74,20 @@ def test_run_identity_examples():
 
     thm5 = run_identity("thm5", SweepRange(n_max=20, h_max=12, order=8))
     assert thm5.status == PASS and thm5.total_failures == 0
+
+
+def test_def1_methods_fills_the_default_tl_memo():
+    # Its triangle side is the default method, so later default-form calls
+    # are served from the memo instead of being built and stored again.
+    inc.incomplete_tl_poly.cache_clear()
+    run_identity("def1-methods", SMALL)
+    before = inc.incomplete_tl_poly.cache_info()
+    for n in range(SMALL.n_max_poly + 1):
+        for s in range(n // 2 + 1):
+            inc.incomplete_tl_poly(n, s)
+    after = inc.incomplete_tl_poly.cache_info()
+    assert after.misses == before.misses
+    assert after.currsize == before.currsize
 
 
 def test_unknown_identity():
