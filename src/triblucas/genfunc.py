@@ -48,7 +48,7 @@ import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Optional, Tuple, Union
 
 from .errors import DomainError, ExpansionError
@@ -98,7 +98,10 @@ class RationalGF:
     ring, which keeps expansion division-free.  ``factors``, when given,
     are z-polynomials with unit constant term whose product is the
     denominator; symbolic expansion then divides by each in turn.  They
-    take no part in equality, hashing or serialization.
+    take no part in equality, hashing or serialization.  The check
+    multiplies them out through the memoised :func:`_factor_product`, so
+    pairs that share a factors tuple (Q_s in both variants, and W_s) build
+    the product once.
     """
 
     numerator: Tuple[Coeff, ...]
@@ -115,10 +118,7 @@ class RationalGF:
             return
         if not all(f and _is_one(f[0]) for f in self.factors):
             raise ExpansionError("factor constant terms must be 1")
-        product = self.factors[0]
-        for f in self.factors[1:]:
-            product = _zmul(product, f, product[0] * 0)
-        if product != self.denominator:
+        if _factor_product(self.factors) != self.denominator:
             raise ExpansionError("factors must multiply to the denominator")
 
     def to_json_dict(self) -> dict:
@@ -166,11 +166,14 @@ def _zmul(a: Tuple[Coeff, ...], b: Tuple[Coeff, ...], zero: Coeff) -> Tuple[Coef
     return tuple(out)
 
 
-def _zpow(a: Tuple[IntPoly, ...], n: int) -> Tuple[IntPoly, ...]:
-    result: Tuple[IntPoly, ...] = (IntPoly.one(),)
-    for _ in range(n):
-        result = _zmul(result, a, IntPoly.zero())
-    return result
+@lru_cache(maxsize=None)
+def _factor_product(factors: Tuple[Tuple[Coeff, ...], ...]) -> Tuple[Coeff, ...]:
+    # Memoised on the factors tuple, so the pairs that share one (Q_s in both
+    # variants, W_s) multiply it out once for their construction check.
+    product = factors[0]
+    for f in factors[1:]:
+        product = _zmul(product, f, product[0] * 0)
+    return product
 
 
 def series_expand(gf: RationalGF, order: int) -> PowerSeries:
@@ -381,11 +384,13 @@ def q_gf(s: int, variant: GFVariant = GFVariant.CORRECTED,
     head = (t1, t2 - _X2 * t1, n2)
     m = (_ONE, -_X2)                     # 1 - x^2 z
     d = (_ONE, -_X2, -_X, -_ONE)         # 1 - x^2 z - x z^2 - z^3
-    p = _zpow(m, s + 1)
-    x_plus_z = _zpow((_X, _ONE), s)
+    # (1 - x^2 z)^(s+1) and (x + z)^s: each z^k coefficient is one monomial
+    p = tuple(IntPoly.monomial((-1) ** k * comb(s + 1, k), 2 * k) for k in range(s + 2))
+    x_plus_z = tuple(IntPoly.monomial(comb(s, k), s - k) for k in range(s + 1))
     g = _zmul((_ZERO, _ZERO, _X, _ONE), x_plus_z, _ZERO)
     a = _zadd(_zmul(head, p, _ZERO), _zneg(g))
-    return RationalGF(a, _zmul(d, p, _ZERO), 2 * s + 1, (d,) + (m,) * (s + 1))
+    factors = (d,) + (m,) * (s + 1)
+    return RationalGF(a, _factor_product(factors), 2 * s + 1, factors)
 
 
 @lru_cache(maxsize=None)
@@ -441,6 +446,19 @@ def direct_incomplete_coeff(family: IncompleteFamily, n: int, s: int,
     return p.evaluate(Fraction(x))
 
 
+@lru_cache(maxsize=None)
+def direct_series(family: IncompleteFamily, s: int, x: XMode,
+                  order: int) -> Tuple[Coeff, ...]:
+    """``direct_incomplete_coeff(family, k, s, x)`` for k < ``order``, memoised.
+
+    The sweeps that compare different generating functions of one family
+    against the same direct values (Q_s in both variants and at x = 1, W_s
+    symbolically and at x = 1) read one tuple.  It is built from the
+    double sums and triangles only, never from a pair or its expansion.
+    """
+    return tuple(direct_incomplete_coeff(family, k, s, x) for k in range(order))
+
+
 @dataclass(frozen=True)
 class GFComparison:
     """Coefficientwise comparison of a generating function against direct values."""
@@ -470,6 +488,9 @@ def gf_vs_direct(family: IncompleteFamily, s: int,
 
     The direct sums are the oracle; the closed-form function is the claim
     under test.  Out-of-domain indices contribute zero on the direct side.
+    The direct values come from :func:`direct_series`, so they are built
+    once per (family, s, x, order) however many functions are compared
+    against them.
     """
     if order < 1:
         raise DomainError(f"order must be >= 1, got {order}")
@@ -481,9 +502,7 @@ def gf_vs_direct(family: IncompleteFamily, s: int,
                 "only the corrected variant exists for the Tribonacci-Lucas family")
         gf = w_gf(s, x)
     series = series_expand(gf, order)
-    mismatches = []
-    for k in range(order):
-        expected = direct_incomplete_coeff(family, k, s, x)
-        if series.coeffs[k] != expected:
-            mismatches.append((k, series.coeffs[k], expected))
-    return GFComparison(family, s, variant, x, order, series, tuple(mismatches))
+    mismatches = tuple((k, got, want) for k, (got, want)
+                       in enumerate(zip(series.coeffs, direct_series(family, s, x, order)))
+                       if got != want)
+    return GFComparison(family, s, variant, x, order, series, mismatches)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import compress
 from math import comb
 from typing import List, Tuple
 
@@ -88,18 +89,19 @@ class IncompleteIndex:
 
 @lru_cache(maxsize=None)
 def incomplete_tribonacci_poly(n: int, s: int) -> IntPoly:
-    """T_n^(s)(x) by direct evaluation of the truncated double sum."""
+    """T_n^(s)(x) by direct evaluation of the truncated double sum.
+
+    Each binomial term is added straight into one coefficient list of
+    length 2n-1 (T_n has degree 2n-2).
+    """
     check_domain(IncompleteFamily.INC_TRIBONACCI, n, s)
-    terms = []
+    coeffs = [0] * (2 * n - 1)
     for i in range(s + 1):
-        for j in range(i + 1):
-            c = comb(i, j) * comb(n - i - j - 1, i)
-            if c == 0:
-                continue
+        for j in range(min(i, n - 2 * i - 1) + 1):  # C(n-i-j-1, i) = 0 past it
             power = 2 * n - 3 * (i + j) - 2
             assert power >= 0
-            terms.append((power, c))
-    return IntPoly.from_terms(terms)
+            coeffs[power] += comb(i, j) * comb(n - i - j - 1, i)
+    return IntPoly(coeffs)
 
 
 def incomplete_tribonacci_number(n: int, s: int) -> int:
@@ -127,17 +129,21 @@ def _add_level(n: int, sums: List[int]) -> int:
 def incomplete_tl_poly(n: int, s: int, method: str = TRIANGLE_SUM) -> IntPoly:
     """K_n^(s)(x) as a level-s rising-diagonal partial sum.
 
-    ``triangle_sum`` adds the stored triangle entries B(n-i, i)(x);
-    ``binomial_sum`` evaluates the closed double sum (n = i+j cells skipped,
-    n = 0 served directly from the triangle apex).  The two methods agree;
-    the def1-methods sweep verifies that.
+    ``triangle_sum`` adds the coefficients of the stored triangle entries
+    B(n-i, i)(x), i <= s, into one list of length 2n+1 (K_n has degree
+    2n) and builds one ``IntPoly`` from it; ``binomial_sum`` evaluates the
+    closed double sum (n = i+j cells skipped, n = 0 served directly from
+    the triangle apex).  The two methods agree; the def1-methods sweep
+    verifies that.
     """
     check_domain(IncompleteFamily.INC_TRIBONACCI_LUCAS, n, s)
     if method == TRIANGLE_SUM:
-        total = IntPoly.zero()
+        total = [0] * (2 * n + 1)
         for i in range(s + 1):
-            total = total + triangle_entry_poly(n - i, i)
-        return total
+            entry = triangle_entry_poly(n - i, i).coeffs
+            for power in compress(range(len(entry)), entry):   # nonzero terms
+                total[power] += entry[power]
+        return IntPoly(total)
     if method != BINOMIAL_SUM:
         raise DomainError(f"unknown method {method!r}")
     if n == 0:

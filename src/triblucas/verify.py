@@ -257,22 +257,23 @@ def _gf_checker(family: inc.IncompleteFamily, variant: gf.GFVariant,
         modes = x_modes(rng) if x_modes else rng.x_modes()
         for s in range(s_min, rng.s_max + 1):
             for x in modes:
-                cmp = gf.gf_vs_direct(family, s, variant, x, rng.order)
-                # only mismatched powers differ from the series coefficient
-                direct = {power: want for power, _, want in cmp.mismatches}
-                for power, got in enumerate(cmp.series.coeffs):
+                series = gf.gf_vs_direct(family, s, variant, x, rng.order).series
+                # the direct values gf_vs_direct compared against, from its memo
+                direct = gf.direct_series(family, s, x, rng.order)
+                for power, (got, want) in enumerate(zip(series.coeffs, direct)):
                     yield ([("s", s), ("x", _mode_label(x)), ("power", power)],
-                           got, direct.get(power, got))
+                           got, want)
     return run
 
 
 def _check_eq16_shift(rng: SweepRange) -> Iterator[Point]:
     for s in range(rng.s_max + 1):
         series = gf.series_expand(gf.q_gf_numbers_unshifted(s), rng.order)
+        # the x = 1 values cor11 compared against
+        direct = gf.direct_series(inc.IncompleteFamily.INC_TRIBONACCI, s,
+                                  Fraction(1), rng.order)
         for power in range(rng.order):
-            direct = gf.direct_incomplete_coeff(
-                inc.IncompleteFamily.INC_TRIBONACCI, power, s, Fraction(1))
-            yield [("s", s), ("power", power)], series[power], direct
+            yield [("s", s), ("power", power)], series[power], direct[power]
 
 
 # -- catalog ------------------------------------------------------------------

@@ -29,6 +29,7 @@ from triblucas.incomplete import (
 )
 from triblucas.poly import IntPoly, poly_parse
 from triblucas.sequences import tribonacci_poly
+from triblucas.verify import SweepRange, run_identity
 
 TRIB = IncompleteFamily.INC_TRIBONACCI
 TL = IncompleteFamily.INC_TRIBONACCI_LUCAS
@@ -376,6 +377,58 @@ def test_factors_must_have_unit_terms_and_multiply_to_the_denominator():
         RationalGF((1,), (1, -2), factors=((1, -1), ()))
     with pytest.raises(ExpansionError):
         RationalGF((1,), (1, -x2), factors=(m, m))
+
+
+def test_factor_check_still_rejects_once_the_product_memo_is_warm():
+    genfunc._factor_product.cache_clear()
+    q_gf.cache_clear()
+    w_gf.cache_clear()
+    s = 3
+    good = q_gf(s)
+    q_gf(s, GFVariant.AS_PRINTED)
+    w = w_gf(s)                       # also builds Q_(s-1)
+    # Q_s in both variants and W_s build one product for level s
+    assert genfunc._factor_product.cache_info().misses == 2
+    assert w.denominator is good.denominator
+    d, m = good.factors[0], good.factors[1]
+    wrong = [
+        (good.denominator, (d,) + (m,) * s),               # one 1 - x^2 z short
+        (good.denominator, ((d[0], d[2], d[1], d[3]),) + good.factors[1:]),  # reordered
+        (q_gf(s - 1).denominator, good.factors),           # another level's product
+        (good.denominator[::-1], good.factors),            # reordered denominator
+    ]
+    for _ in range(2):                # the second round finds every product memoised
+        for den, factors in wrong:
+            with pytest.raises(ExpansionError):
+                RationalGF(good.numerator, den, good.shift, factors)
+
+
+@pytest.mark.parametrize("symbolic_first", [True, False])
+def test_direct_series_is_shared_by_the_sweeps_of_one_family(symbolic_first):
+    genfunc.direct_series.cache_clear()
+    rng = SweepRange(s_max=3, order=24, x_points=(Fraction(1),), include_symbolic=False)
+    run_identity("cor11", rng)
+    built = genfunc.direct_series.cache_info()
+    assert built.misses == 4
+    for identity_id in ("thm10-printed", "thm10-corrected", "eq1.6-shift"):
+        run_identity(identity_id, rng)
+    after = genfunc.direct_series.cache_info()
+    # two reads per thm10-* level (gf_vs_direct, then the runner), one per eq1.6 level
+    assert after.misses == built.misses and after.hits == built.hits + 2 * 8 + 4
+    incomplete_tribonacci_poly.cache_clear()
+    one = Fraction(1)
+    for s in range(4):
+        fresh = tuple(direct_incomplete_coeff(TRIB, k, s, one) for k in range(24))
+        shared = genfunc.direct_series(TRIB, s, one, 24)
+        assert shared == fresh
+        assert all(type(c) is Fraction for c in shared)
+    # the symbolic and the x = 1 values never share an entry, in either order
+    genfunc.direct_series.cache_clear()
+    modes = [None, one] if symbolic_first else [one, None]
+    kinds = {None: IntPoly, one: Fraction}
+    for x in modes:
+        assert {type(c) for c in genfunc.direct_series(TRIB, 2, x, 24)} == {kinds[x]}
+    assert genfunc.direct_series.cache_info().misses == 2
 
 
 def test_symbolic_series_at_order_96_are_pinned():

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from triblucas.errors import DomainError
@@ -113,10 +115,21 @@ def test_incomplete_tl_apex():
 
 
 def test_incomplete_tl_methods_agree():
-    for n in range(25):
+    for n in range(61):
         for s in range(n // 2 + 1):
             assert (incomplete_tl_poly(n, s, TRIANGLE_SUM)
                     == incomplete_tl_poly(n, s, BINOMIAL_SUM)), (n, s)
+
+
+def test_incomplete_tribonacci_poly_matches_the_double_sum():
+    # The double sum term by term through from_terms, zero binomials skipped.
+    for n in range(1, 61):
+        for s in range((n - 1) // 2 + 1):
+            want = IntPoly.from_terms(
+                (2 * n - 3 * (i + j) - 2, comb(i, j) * comb(n - i - j - 1, i))
+                for i in range(s + 1) for j in range(i + 1)
+                if comb(n - i - j - 1, i))
+            assert incomplete_tribonacci_poly(n, s) == want, (n, s)
 
 
 def test_incomplete_tl_domain_error_names_interval():

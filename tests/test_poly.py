@@ -162,19 +162,31 @@ def _fraction_horner(p, x0):
 
 wide_points = st.one_of(
     st.just(Fraction(0)),
-    st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6)))
+    st.builds(Fraction, st.integers(0, 10 ** 6),
+              st.one_of(st.just(1), st.integers(1, 10 ** 6))))
+# Polynomials with long zero runs, which evaluate skips: lattice polynomials
+# on every third power (as every family polynomial is), x^k * q with k up to
+# 40, constants and zero.
+lattice_polys = st.builds(
+    lambda r, cs: IntPoly([0] * r + [v for c in cs for v in (c, 0, 0)]),
+    st.integers(0, 2), st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=20))
+sparse_polys = st.one_of(
+    lattice_polys,
+    st.builds(IntPoly.shifted, st.one_of(small_polys, lattice_polys), st.integers(0, 40)),
+    st.builds(IntPoly.constant, st.integers(-50, 50)),
+    st.just(IntPoly.zero()))
 
 
-@settings(max_examples=300)
-@given(st.one_of(small_polys, st.builds(IntPoly.constant, st.integers(-50, 50))),
-       wide_points)
-def test_integer_horner_matches_fraction_horner(p, x0):
-    got = p.evaluate(x0)
-    assert type(got) is Fraction
-    assert got == _fraction_horner(p, x0)
-    if x0.denominator == 1:
-        at_int = p.evaluate(x0.numerator)
-        assert type(at_int) is int and at_int == got
+@settings(max_examples=400)
+@given(st.one_of(small_polys, sparse_polys), wide_points)
+def test_integer_horner_matches_fraction_horner(p, point):
+    for x0 in (point, -point):
+        got = p.evaluate(x0)
+        assert type(got) is Fraction
+        assert got == _fraction_horner(p, x0), x0
+        if x0.denominator == 1:
+            at_int = p.evaluate(x0.numerator)
+            assert type(at_int) is int and at_int == got
 
 
 def test_zero_polynomial_keeps_the_input_type():
