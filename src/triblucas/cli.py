@@ -5,7 +5,8 @@ families), ``table`` (the four reference tables), ``incomplete`` (incomplete
 values, optionally evaluated at a rational x), ``gf`` (generating-function
 expansion with a matches-direct comparator verdict) and ``verify`` (the
 identity suite).  Exit codes: 0 success, 1 verification failure, 2 usage
-error, 3 internal error (an unexpected exception, reported as one
+error (including a ``seq`` index above ``SEQ_INDEX_MAX`` or a ``poly``
+index above ``POLY_INDEX_MAX``, rejected before any work), 3 internal error (an unexpected exception, reported as one
 ``error: internal: <Type>: <message>`` line on stderr).  All output is
 UTF-8 with "\\n" newlines and deterministic.
 """
@@ -33,6 +34,12 @@ from .triangles import TriangleKind, triangle_rows
 
 PLAIN, JSON, CSV, BFILE = "plain", "json", "csv", "bfile"
 
+# Largest indices the CLI computes.  K_16000 has 4,235 digits, below the
+# 4,300 that ``str(int)`` accepts by default; the polynomial memo grows as
+# O(n^2) coefficients, about 100 MB for both families at n = 1000.
+SEQ_INDEX_MAX = 16000
+POLY_INDEX_MAX = 1000
+
 
 class _UsageError(Exception):
     pass
@@ -57,22 +64,35 @@ _NUMBER_FAMILIES = {
 }
 
 
+def _seq_values(func, start: int, end: int):
+    """Values at start..end: three seeds from ``func``, then the recurrence."""
+    a, b, c = (func(n) for n in range(start, start + 3))
+    for _ in range(start, end + 1):
+        yield a
+        a, b, c = b, c, a + b + c
+
+
 def _cmd_seq(args) -> int:
-    func = _NUMBER_FAMILIES[args.family]
     if args.start < 0 or args.start > args.end:
         raise _UsageError(f"need 0 <= from <= to, got {args.start}..{args.end}")
-    pairs = [(n, func(n)) for n in range(args.start, args.end + 1)]
+    if args.end > SEQ_INDEX_MAX:
+        raise _UsageError(f"to must be <= {SEQ_INDEX_MAX}, got {args.end}")
+    indices = range(args.start, args.end + 1)
+    values = _seq_values(_NUMBER_FAMILIES[args.family], args.start, args.end)
+    write = sys.stdout.write
     if args.format == PLAIN:
-        out = " ".join(str(v) for _, v in pairs) + "\n"
+        write(" ".join(map(str, values)) + "\n")
     elif args.format == BFILE:
-        out = "".join(f"{n} {v}\n" for n, v in pairs)
+        for n, v in zip(indices, values):
+            write(f"{n} {v}\n")
     elif args.format == CSV:
-        out = "n,value\n" + "".join(f"{n},{v}\n" for n, v in pairs)
+        write("n,value\n")
+        for n, v in zip(indices, values):
+            write(f"{n},{v}\n")
     else:
-        out = _compact_json({"family": args.family, "from": args.start,
+        write(_compact_json({"family": args.family, "from": args.start,
                              "to": args.end,
-                             "values": [str(v) for _, v in pairs]}) + "\n"
-    sys.stdout.write(out)
+                             "values": [str(v) for v in values]}) + "\n")
     return 0
 
 
@@ -92,6 +112,8 @@ def _poly_csv(p: IntPoly) -> str:
 def _cmd_poly(args) -> int:
     if args.n < 0:
         raise _UsageError(f"index must be nonnegative, got {args.n}")
+    if args.n > POLY_INDEX_MAX:
+        raise _UsageError(f"index must be <= {POLY_INDEX_MAX}, got {args.n}")
     p = _POLY_FAMILIES[args.family](args.n)
     if args.format == PLAIN:
         out = poly_format(p) + "\n"
@@ -297,13 +319,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("seq", help="number sequence values over an index range")
     p.add_argument("family", choices=sorted(_NUMBER_FAMILIES))
     p.add_argument("start", type=int, metavar="from")
-    p.add_argument("end", type=int, metavar="to")
+    p.add_argument("end", type=int, metavar="to",
+                   help=f"last index, at most {SEQ_INDEX_MAX}")
     _add_format(p, [PLAIN, JSON, CSV, BFILE])
     p.set_defaults(func=_cmd_seq)
 
     p = sub.add_parser("poly", help="one polynomial family member")
     p.add_argument("family", choices=sorted(_POLY_FAMILIES))
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=int, help=f"index, at most {POLY_INDEX_MAX}")
     _add_format(p, [PLAIN, JSON, CSV])
     p.set_defaults(func=_cmd_poly)
 

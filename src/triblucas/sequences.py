@@ -7,6 +7,9 @@ Tribonacci polys        T_{n+3}(x) = x^2 T_{n+2}(x) + x T_{n+1}(x) + T_n(x),
 Tribonacci-Lucas polys  same recurrence with K_0(x) = 3, K_1(x) = x^2, K_2(x) = x^4 + 2x
 
 Evaluating either polynomial family at x = 1 recovers the number family.
+T_n and K_n below ``NUMBER_MEMO_CAP`` come from an append-only memo of the
+recurrence; from the cap up they come from t^n mod t^3 - t^2 - t - 1 by
+square-and-multiply (Fiduccia's doubling), so no memo grows past the cap.
 The closed forms over the characteristic roots of t^3 = t^2 + t + 1 are
 implemented as floating-point checks only; the iterative recurrences are
 always the source of truth.
@@ -18,7 +21,7 @@ import enum
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Sequence, TypeVar
+from typing import Callable, List, Sequence, Tuple, TypeVar
 
 import mpmath
 
@@ -67,8 +70,19 @@ def _number_step(v: List[int]) -> int:
     return v[-1] + v[-2] + v[-3]
 
 
+def _shift_add(a: IntPoly, b: IntPoly, c: IntPoly) -> IntPoly:
+    """x^2·a + x·b + c, with the coefficients added into one list."""
+    out = [0, 0, *a.coeffs]
+    out.extend([0] * (max(len(b) + 1, len(c)) - len(out)))
+    for k, v in enumerate(b.coeffs, 1):
+        out[k] += v
+    for k, v in enumerate(c.coeffs):
+        out[k] += v
+    return IntPoly(out)
+
+
 def _poly_step(v: List[IntPoly]) -> IntPoly:
-    return v[-1].shifted(2) + v[-2].shifted(1) + v[-3]
+    return _shift_add(v[-1], v[-2], v[-3])
 
 
 _T_NUMBERS = _GrowingCache([0, 1, 1], _number_step)
@@ -80,14 +94,49 @@ _K_POLYS = _GrowingCache(
     _poly_step)
 
 
+# Indices below the cap are served by the memos above; no memo holds more.
+NUMBER_MEMO_CAP = 4096
+
+
+def _t_power(n: int) -> Tuple[int, int, int]:
+    """(a, b, c) with t^n = a·t^2 + b·t + c modulo t^3 - t^2 - t - 1.
+
+    Square-and-multiply over the bits of n: a square costs six multiplies,
+    reduced with t^3 = t^2 + t + 1 and t^4 = 2t^2 + 2t + 1, and a step
+    t·(a, b, c) = (a + b, a + c, a) only adds.
+    """
+    a, b, c = 0, 0, 1
+    for bit in bin(n)[2:]:
+        aa, ab, bb, ac, bc, cc = a * a, a * b, b * b, a * c, b * c, c * c
+        top = 2 * ab + 2 * aa
+        a, b, c = bb + 2 * ac + top, 2 * bc + top, cc + 2 * ab + aa
+        if bit == "1":
+            a, b, c = a + b, a + c, a
+    return a, b, c
+
+
 def tribonacci_number(n: int) -> int:
-    """T_n by the exact recurrence (memoized, iterative)."""
-    return _T_NUMBERS.get(n)
+    """T_n, exact: from the recurrence memo below ``NUMBER_MEMO_CAP``, else doubled.
+
+    From the cap up, T_n = a + b for t^n = a·t^2 + b·t + c, because the
+    seeds are T_2, T_1, T_0 = 1, 1, 0.
+    """
+    if n < NUMBER_MEMO_CAP:
+        return _T_NUMBERS.get(n)
+    a, b, _ = _t_power(n)
+    return a + b
 
 
 def tribonacci_lucas_number(n: int) -> int:
-    """K_n by the exact recurrence (memoized, iterative)."""
-    return _K_NUMBERS.get(n)
+    """K_n, exact: from the recurrence memo below ``NUMBER_MEMO_CAP``, else doubled.
+
+    From the cap up, K_n = 3a + b + 3c for t^n = a·t^2 + b·t + c, because
+    the seeds are K_2, K_1, K_0 = 3, 1, 3.
+    """
+    if n < NUMBER_MEMO_CAP:
+        return _K_NUMBERS.get(n)
+    a, b, c = _t_power(n)
+    return 3 * (a + c) + b
 
 
 def tribonacci_poly(n: int) -> IntPoly:

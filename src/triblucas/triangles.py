@@ -24,7 +24,7 @@ from typing import List, Tuple, Union
 
 from .errors import DomainError, InternalConsistencyError
 from .poly import IntPoly, poly_format
-from .sequences import _GrowingCache
+from .sequences import _GrowingCache, _shift_add
 
 Entry = Union[int, IntPoly]
 
@@ -70,7 +70,7 @@ def _next_row(rows: List[Tuple[Entry, ...]], poly: bool) -> Tuple[Entry, ...]:
     inner: List[Entry] = []
     for i in range(1, n):
         a, b, c = prev[i], prev[i - 1], prev2[i - 1]
-        inner.append(a.shifted(2) + b.shifted(1) + c if poly else a + b + c)
+        inner.append(_shift_add(a, b, c) if poly else a + b + c)
     if poly:
         return (IntPoly.monomial(1, 2 * n), *inner, IntPoly.monomial(2, n))
     return (1, *inner, 2)

@@ -1,11 +1,20 @@
 import csv
 import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from triblucas.cli import main
+from triblucas.cli import POLY_INDEX_MAX, SEQ_INDEX_MAX, main
+from triblucas.sequences import (
+    NUMBER_MEMO_CAP,
+    tribonacci_lucas_number,
+    tribonacci_number,
+)
+
+FAMILY_FUNCS = {"tribonacci": tribonacci_number,
+                "tribonacci-lucas": tribonacci_lucas_number}
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -41,6 +50,60 @@ def test_seq_json_and_csv(capsys):
                                "values": ["0", "1", "1", "2"]}
     code, out, _ = run(capsys, "seq", "tribonacci", "0", "2", "--format", "csv")
     assert out == "n,value\n0,0\n1,1\n2,1\n"
+
+
+def _seq_out(fmt, family, start, end):
+    values = [str(FAMILY_FUNCS[family](n)) for n in range(start, end + 1)]
+    if fmt == "plain":
+        return " ".join(values) + "\n"
+    if fmt == "bfile":
+        return "".join(f"{n} {v}\n" for n, v in enumerate(values, start))
+    if fmt == "csv":
+        return "n,value\n" + "".join(f"{n},{v}\n" for n, v in enumerate(values, start))
+    return json.dumps({"family": family, "from": start, "to": end,
+                       "values": values}, separators=(",", ":")) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["plain", "bfile", "csv", "json"])
+@pytest.mark.parametrize("family", sorted(FAMILY_FUNCS))
+def test_seq_streams_the_per_index_values(capsys, fmt, family):
+    cap = NUMBER_MEMO_CAP
+    for start, end in [(0, 0), (0, 1), (3, 40), (cap - 4, cap - 1),
+                       (cap - 2, cap + 5), (cap, cap), (9000, 9012),
+                       (SEQ_INDEX_MAX - 1, SEQ_INDEX_MAX)]:
+        code, out, _ = run(capsys, "seq", family, str(start), str(end),
+                           "--format", fmt)
+        assert code == 0
+        assert out == _seq_out(fmt, family, start, end)
+
+
+@pytest.mark.parametrize("argv, bound", [
+    (("seq", "tribonacci", "0", str(10 ** 12)), SEQ_INDEX_MAX),
+    (("seq", "tribonacci-lucas", str(SEQ_INDEX_MAX + 1), str(SEQ_INDEX_MAX + 1)),
+     SEQ_INDEX_MAX),
+    (("poly", "tl", str(10 ** 12)), POLY_INDEX_MAX),
+    (("poly", "tribonacci", str(POLY_INDEX_MAX + 1)), POLY_INDEX_MAX),
+])
+def test_indices_past_the_bounds_exit_2_without_allocating(capsys, argv, bound):
+    run(capsys, "seq", "tribonacci", "0", "3")   # imports and parser caches
+    tracemalloc.start()
+    try:
+        code = main(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2
+    assert peak < 1_000_000
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and str(bound) in captured.err
+
+
+@pytest.mark.parametrize("command, bound", [("seq", SEQ_INDEX_MAX),
+                                            ("poly", POLY_INDEX_MAX)])
+def test_help_names_the_index_bounds(capsys, command, bound):
+    assert main([command, "--help"]) == 0
+    assert f"at most {bound}" in capsys.readouterr().out
 
 
 def test_poly_plain(capsys):

@@ -1,6 +1,9 @@
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import triblucas.sequences as sequences
 from triblucas.errors import DomainError, NumericalInstabilityError
 from triblucas.poly import IntPoly, poly_format
 from triblucas.sequences import (
@@ -73,6 +76,52 @@ def test_memoized_agrees_with_plain_unroll():
     for n in range(201):
         assert tribonacci_number(n) == t[n]
         assert tribonacci_lucas_number(n) == k[n]
+
+
+def _plain_loop(n, seeds):
+    a, b, c = seeds
+    for _ in range(n):
+        a, b, c = b, c, a + b + c
+    return a
+
+
+def _doubled(n):
+    a, b, c = sequences._t_power(n)
+    return a + b, 3 * a + b + 3 * c
+
+
+def _assert_doubling_matches_the_loop(n):
+    t, k = _plain_loop(n, (0, 1, 1)), _plain_loop(n, (3, 1, 3))
+    assert _doubled(n) == (t, k)
+    assert (tribonacci_number(n), tribonacci_lucas_number(n)) == (t, k)
+
+
+def test_doubling_matches_the_recurrence_around_the_cap():
+    cap = sequences.NUMBER_MEMO_CAP
+    for n in range(cap - 3, cap + 4):
+        _assert_doubling_matches_the_loop(n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(st.integers(0, sequences.NUMBER_MEMO_CAP),
+                 st.integers(sequences.NUMBER_MEMO_CAP, 20000)))
+@example(20000)
+def test_doubling_matches_the_recurrence(n):
+    _assert_doubling_matches_the_loop(n)
+
+
+def test_number_memos_stop_at_the_cap():
+    cap = sequences.NUMBER_MEMO_CAP
+    assert tribonacci_number(30000) == _doubled(30000)[0]
+    assert tribonacci_lucas_number(30000) == _doubled(30000)[1]
+    for memo in (sequences._T_NUMBERS, sequences._K_NUMBERS):
+        assert len(memo._values) <= cap
+
+
+@settings(max_examples=100)
+@given(*[st.lists(st.integers(-50, 50), max_size=8).map(IntPoly)] * 3)
+def test_shift_add_matches_shifted_sums(a, b, c):
+    assert sequences._shift_add(a, b, c) == a.shifted(2) + b.shifted(1) + c
 
 
 def test_binet_roots_alpha_and_vieta():
