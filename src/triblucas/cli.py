@@ -5,8 +5,10 @@ families), ``table`` (the four reference tables), ``incomplete`` (incomplete
 values, optionally evaluated at a rational x), ``gf`` (generating-function
 expansion with a matches-direct comparator verdict) and ``verify`` (the
 identity suite).  Exit codes: 0 success, 1 verification failure, 2 usage
-error (including a ``seq`` index above ``SEQ_INDEX_MAX`` or a ``poly``
-index above ``POLY_INDEX_MAX``, rejected before any work), 3 internal error (an unexpected exception, reported as one
+error (including a ``seq`` index above ``SEQ_INDEX_MAX``, a ``poly``
+index above ``POLY_INDEX_MAX``, or a ``table --rows`` count or an
+``incomplete`` index above ``TRIANGLE_INDEX_MAX``, each rejected before any
+work), 3 internal error (an unexpected exception, reported as one
 ``error: internal: <Type>: <message>`` line on stderr).  All output is
 UTF-8 with "\\n" newlines and deterministic.
 """
@@ -36,9 +38,12 @@ PLAIN, JSON, CSV, BFILE = "plain", "json", "csv", "bfile"
 
 # Largest indices the CLI computes.  K_16000 has 4,235 digits, below the
 # 4,300 that ``str(int)`` accepts by default; the polynomial memo grows as
-# O(n^2) coefficients, about 100 MB for both families at n = 1000.
+# O(n^2) coefficients, about 100 MB for both families at n = 1000.  Tables
+# and incomplete values fill the polynomial triangle or the double sums, whose
+# memos and text grow as O(n^3): about 100 MB at 150 rows.
 SEQ_INDEX_MAX = 16000
 POLY_INDEX_MAX = 1000
+TRIANGLE_INDEX_MAX = 150
 
 
 class _UsageError(Exception):
@@ -147,6 +152,8 @@ def _table_rows(which: int, rows: int):
 def _cmd_table(args) -> int:
     if args.rows < 1:
         raise _UsageError(f"rows must be >= 1, got {args.rows}")
+    if args.rows > TRIANGLE_INDEX_MAX:
+        raise _UsageError(f"rows must be <= {TRIANGLE_INDEX_MAX}, got {args.rows}")
     label, first, body = _table_rows(args.which, args.rows)
     if args.format == PLAIN:
         width = max(len(row) for row in body)
@@ -177,6 +184,8 @@ _INCOMPLETE_FAMILIES = {
 
 
 def _cmd_incomplete(args) -> int:
+    if args.n > TRIANGLE_INDEX_MAX:
+        raise _UsageError(f"index must be <= {TRIANGLE_INDEX_MAX}, got {args.n}")
     try:
         p = _INCOMPLETE_FAMILIES[args.family](args.n, args.s)
     except DomainError as exc:
@@ -332,13 +341,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table", help="reference tables 1-4")
     p.add_argument("which", type=int, choices=[1, 2, 3, 4])
-    p.add_argument("--rows", type=int, default=6)
+    p.add_argument("--rows", type=int, default=6,
+                   help=f"number of rows, at most {TRIANGLE_INDEX_MAX}")
     _add_format(p, [PLAIN, JSON, CSV])
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("incomplete", help="incomplete family values")
     p.add_argument("family", choices=sorted(_INCOMPLETE_FAMILIES))
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=int, help=f"index, at most {TRIANGLE_INDEX_MAX}")
     p.add_argument("s", type=int)
     p.add_argument("--x", help="rational evaluation point, e.g. 1 or 1/2")
     _add_format(p, [PLAIN, JSON, CSV])

@@ -23,16 +23,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import compress
+from functools import lru_cache
+from itertools import accumulate, chain
 from math import comb
-from typing import List, Tuple
+from typing import Tuple
 
 from .errors import DomainError, InternalConsistencyError
 from .poly import IntPoly
-from .sequences import _GrowingCache, tribonacci_lucas_number, tribonacci_lucas_poly
+from .sequences import tribonacci_lucas_number, tribonacci_lucas_poly
 from .triangles import (
-    exact_div,
+    _binomial_diagonal_terms,
+    _poly_diagonal_sum,
     triangle_entry_number,
     triangle_entry_poly,
     weighted_binomial_diagonal_sum,
@@ -87,42 +88,50 @@ class IncompleteIndex:
         check_domain(self.family, self.n, self.s)
 
 
+def _tribonacci_level(n: int, i: int):
+    # Level i of T_n's double sum as (power, coefficient) pairs: the one loop
+    # over these cells.  C(n-i-j-1, i) is 0 past j = n-2i-1, so the loop
+    # stops there, which also keeps every power nonnegative.
+    for j in range(min(i, n - 2 * i - 1) + 1):
+        yield 2 * n - 3 * (i + j) - 2, comb(i, j) * comb(n - i - j - 1, i)
+
+
 @lru_cache(maxsize=None)
 def incomplete_tribonacci_poly(n: int, s: int) -> IntPoly:
     """T_n^(s)(x) by direct evaluation of the truncated double sum.
 
-    Each binomial term is added straight into one coefficient list of
-    length 2n-1 (T_n has degree 2n-2).
+    The terms of levels 0..s are added straight into one coefficient list
+    of length 2n-1 (T_n has degree 2n-2).
     """
     check_domain(IncompleteFamily.INC_TRIBONACCI, n, s)
     coeffs = [0] * (2 * n - 1)
     for i in range(s + 1):
-        for j in range(min(i, n - 2 * i - 1) + 1):  # C(n-i-j-1, i) = 0 past it
-            power = 2 * n - 3 * (i + j) - 2
-            assert power >= 0
-            coeffs[power] += comb(i, j) * comb(n - i - j - 1, i)
+        for power, coeff in _tribonacci_level(n, i):
+            coeffs[power] += coeff
     return IntPoly(coeffs)
 
 
-def incomplete_tribonacci_number(n: int, s: int) -> int:
-    """T_n(s) = T_n^(s)(1): the truncated double sum of binomials in ``int``.
-
-    Each level i of the sum is added once to the memoised T_n(i - 1), so
-    T_n(0), T_n(1), ... grow together per n.
-    """
-    check_domain(IncompleteFamily.INC_TRIBONACCI, n, s)
-    return _number_levels(n).get(s)
+@lru_cache(maxsize=None)
+def _level_sums(family: IncompleteFamily, n: int) -> Tuple[int, ...]:
+    # (F_n(0), ..., F_n(max_level)) for the number family F: running sums of
+    # the levels of n's double sum, at x = 1.
+    top = max_level(family, n)
+    if family is IncompleteFamily.INC_TRIBONACCI:
+        levels = (sum(coeff for _, coeff in _tribonacci_level(n, i))
+                  for i in range(top + 1))
+    else:
+        levels = (triangle_entry_number(n - i, i) for i in range(top + 1))
+    return tuple(accumulate(levels))
 
 
 @lru_cache(maxsize=None)
-def _number_levels(n: int) -> _GrowingCache:
-    return _GrowingCache([], partial(_add_level, n))
+def incomplete_tribonacci_number(n: int, s: int) -> int:
+    """T_n(s) = T_n^(s)(1): the truncated double sum of binomials in ``int``.
 
-
-def _add_level(n: int, sums: List[int]) -> int:
-    i = len(sums)
-    level = sum(comb(i, j) * comb(n - i - j - 1, i) for j in range(i + 1))
-    return sums[-1] + level if sums else level
+    Read from the memoised running level sums T_n(0), T_n(1), ... of n.
+    """
+    check_domain(IncompleteFamily.INC_TRIBONACCI, n, s)
+    return _level_sums(IncompleteFamily.INC_TRIBONACCI, n)[s]
 
 
 @lru_cache(maxsize=None)
@@ -130,44 +139,29 @@ def incomplete_tl_poly(n: int, s: int, method: str = TRIANGLE_SUM) -> IntPoly:
     """K_n^(s)(x) as a level-s rising-diagonal partial sum.
 
     ``triangle_sum`` adds the coefficients of the stored triangle entries
-    B(n-i, i)(x), i <= s, into one list of length 2n+1 (K_n has degree
-    2n) and builds one ``IntPoly`` from it; ``binomial_sum`` evaluates the
+    B(n-i, i)(x), i <= s, into one list; ``binomial_sum`` evaluates the
     closed double sum (n = i+j cells skipped, n = 0 served directly from
     the triangle apex).  The two methods agree; the def1-methods sweep
     verifies that.
     """
     check_domain(IncompleteFamily.INC_TRIBONACCI_LUCAS, n, s)
     if method == TRIANGLE_SUM:
-        total = [0] * (2 * n + 1)
-        for i in range(s + 1):
-            entry = triangle_entry_poly(n - i, i).coeffs
-            for power in compress(range(len(entry)), entry):   # nonzero terms
-                total[power] += entry[power]
-        return IntPoly(total)
+        return _poly_diagonal_sum(n, s)
     if method != BINOMIAL_SUM:
         raise DomainError(f"unknown method {method!r}")
     if n == 0:
         return IntPoly.constant(3)
-    terms = []
-    for i in range(s + 1):
-        for j in range(i + 1):
-            if n == i + j:
-                continue
-            c = comb(i, j) * comb(n - i - j, i)
-            if c == 0:
-                continue
-            coeff = exact_div(n * c, n - i - j)
-            power = 2 * n - 3 * (i + j)
-            assert power >= 0
-            terms.append((power, coeff))
-    return IntPoly.from_terms(terms)
+    return IntPoly.from_terms(_binomial_diagonal_terms(n, s))
 
 
 @lru_cache(maxsize=None)
 def incomplete_tl_number(n: int, s: int) -> int:
-    """K_n(s) = K_n^(s)(1): the level-s partial sum of the number triangle."""
+    """K_n(s) = K_n^(s)(1): the level-s partial sum of the number triangle.
+
+    Read from the memoised running sums K_n(0), K_n(1), ... of n.
+    """
     check_domain(IncompleteFamily.INC_TRIBONACCI_LUCAS, n, s)
-    return sum(triangle_entry_number(n - i, i) for i in range(s + 1))
+    return _level_sums(IncompleteFamily.INC_TRIBONACCI_LUCAS, n)[s]
 
 
 # Boundary closed forms read off the first/last columns of the incomplete
@@ -282,21 +276,9 @@ RECURRENCE_VARIANTS = (
 
 def _eq15_corrections(n: int, s: int) -> IntPoly:
     # The two binomial correction sums of the non-homogeneous incomplete
-    # Tribonacci recurrence; zero binomials are skipped, which keeps all
-    # surviving powers nonnegative.
-    terms = []
-    for j in range(s + 1):
-        c = comb(s, j) * comb(n - s - j, s)
-        if c:
-            power = 2 * n - 3 * (s + j)
-            assert power >= 0
-            terms.append((power + 1, c))  # the x * sum(...) part
-        c = comb(s, j) * comb(n - s - j - 1, s)
-        if c:
-            power = 2 * n - 3 * (s + j) - 2
-            assert power >= 0
-            terms.append((power, c))
-    return IntPoly.from_terms(terms)
+    # Tribonacci recurrence: x (level s of T_(n+1)) + (level s of T_n).
+    shifted = ((power + 1, coeff) for power, coeff in _tribonacci_level(n + 1, s))
+    return IntPoly.from_terms(chain(shifted, _tribonacci_level(n, s)))
 
 
 def recurrence_step(n: int, s: int, variant: str) -> Tuple:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import compress
 from math import comb
 from typing import List, Tuple, Union
 
@@ -88,17 +89,13 @@ def _check_cell(n: int, i: int) -> None:
 
 
 def _closed_terms(n: int, i: int):
-    # Nonzero closed-form terms of B(n, i)(x): coefficient and power pairs.
-    # Only valid for n > i; zero-binomial terms are skipped, which also keeps
-    # every surviving power nonnegative.
-    for j in range(i + 1):
+    # Closed-form terms of B(n, i)(x), n >= 1, as (power, coefficient) pairs:
+    # the one loop over these cells.  C(n-j, i) is 0 past j = n-i, so the
+    # loop stops there, which keeps n-j >= 1 and every power nonnegative.  On
+    # the diagonal n = i only j = 0 is left, the term 2x^i.
+    for j in range(min(i, n - i) + 1):
         binoms = comb(i, j) * comb(n - j, i)
-        if binoms == 0:
-            continue
-        coeff = exact_div((n + i) * binoms, n - j)
-        power = 2 * n - i - 3 * j
-        assert power >= 0
-        yield coeff, power
+        yield 2 * n - i - 3 * j, exact_div((n + i) * binoms, n - j)
 
 
 def triangle_entry_number(n: int, i: int, method: str = RECURRENCE) -> int:
@@ -108,9 +105,9 @@ def triangle_entry_number(n: int, i: int, method: str = RECURRENCE) -> int:
         return _NUMBER_ROWS.get(n)[i]
     if method != CLOSED_FORM:
         raise DomainError(f"unknown method {method!r}")
-    if n == i:
-        return 3 if n == 0 else 2
-    return sum(coeff for coeff, _ in _closed_terms(n, i))
+    if n == 0:
+        return 3
+    return sum(coeff for _, coeff in _closed_terms(n, i))
 
 
 def triangle_entry_poly(n: int, i: int, method: str = RECURRENCE) -> IntPoly:
@@ -120,9 +117,9 @@ def triangle_entry_poly(n: int, i: int, method: str = RECURRENCE) -> IntPoly:
         return _POLY_ROWS.get(n)[i]
     if method != CLOSED_FORM:
         raise DomainError(f"unknown method {method!r}")
-    if n == i:
-        return IntPoly.constant(3) if n == 0 else IntPoly.monomial(2, n)
-    return IntPoly.from_terms((power, coeff) for coeff, power in _closed_terms(n, i))
+    if n == 0:
+        return IntPoly.constant(3)
+    return IntPoly.from_terms(_closed_terms(n, i))
 
 
 def triangle_rows(kind: TriangleKind, row_count: int) -> TriangleTable:
@@ -142,45 +139,47 @@ def diagonal_sum(kind: TriangleKind, n: int) -> Entry:
         raise DomainError(f"index must be nonnegative, got {n}")
     if kind is TriangleKind.NUMBERS:
         return sum(triangle_entry_number(n - i, i) for i in range(n // 2 + 1))
-    total = IntPoly.zero()
-    for i in range(n // 2 + 1):
-        total = total + triangle_entry_poly(n - i, i)
-    return total
+    return _poly_diagonal_sum(n, n // 2)
 
 
-def _binomial_diagonal_terms(n: int, weight_by_i: bool = False):
-    # Terms of the closed double sum over 0 <= j <= i <= floor(n/2), with the
-    # n == i+j cells skipped (the stated side condition) and zero binomials
-    # dropped before any power is formed.
-    for i in range(n // 2 + 1):
-        for j in range(i + 1):
-            if n == i + j:
-                continue
-            binoms = comb(i, j) * comb(n - i - j, i)
-            if binoms == 0:
-                continue
-            scale = i * n if weight_by_i else n
-            coeff = exact_div(scale * binoms, n - i - j)
-            power = 2 * n - 3 * (i + j)
-            assert power >= 0
-            yield coeff, power
+def _poly_diagonal_sum(n: int, top: int) -> IntPoly:
+    # Sum of the stored B(n-i, i)(x) for i = 0..top <= floor(n/2): their
+    # nonzero coefficients are added into one list of length 2n+1 (K_n has
+    # degree 2n), which becomes one IntPoly.
+    total = [0] * (2 * n + 1)
+    for i in range(top + 1):
+        entry = triangle_entry_poly(n - i, i).coeffs
+        for power in compress(range(len(entry)), entry):   # nonzero terms
+            total[power] += entry[power]
+    return IntPoly(total)
+
+
+def _binomial_diagonal_terms(n: int, top: int, weight_by_i: bool = False):
+    # Closed-form terms of B(n-i, i)(x) for i = 0..top, n >= 1: the double
+    # binomial sum over 0 <= j <= i <= top with the n = i+j cells skipped.
+    # weight_by_i multiplies the terms of level i by i.
+    for i in range(top + 1):
+        weight = i if weight_by_i else 1
+        for power, coeff in _closed_terms(n - i, i):
+            yield power, weight * coeff
+
+
+def _collect(terms, polynomial: bool) -> Entry:
+    if polynomial:
+        return IntPoly.from_terms(terms)
+    return sum(coeff for _, coeff in terms)
 
 
 def binomial_diagonal_sum(kind: TriangleKind, n: int) -> Entry:
     """The closed double-binomial form of the rising-diagonal sum (n >= 1)."""
     if n < 1:
         raise DomainError(f"index must be >= 1, got {n}")
-    if kind is TriangleKind.NUMBERS:
-        return sum(coeff for coeff, _ in _binomial_diagonal_terms(n))
-    return IntPoly.from_terms(
-        (power, coeff) for coeff, power in _binomial_diagonal_terms(n))
+    return _collect(_binomial_diagonal_terms(n, n // 2),
+                    kind is TriangleKind.POLYNOMIALS)
 
 
 def weighted_binomial_diagonal_sum(n: int, polynomial: bool) -> Entry:
     """The i-weighted variant of the double sum used by the row-sum identity."""
     if n < 1:
         raise DomainError(f"index must be >= 1, got {n}")
-    terms = _binomial_diagonal_terms(n, weight_by_i=True)
-    if polynomial:
-        return IntPoly.from_terms((power, coeff) for coeff, power in terms)
-    return sum(coeff for coeff, _ in terms)
+    return _collect(_binomial_diagonal_terms(n, n // 2, weight_by_i=True), polynomial)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from triblucas.cli import POLY_INDEX_MAX, SEQ_INDEX_MAX, main
+from triblucas.cli import POLY_INDEX_MAX, SEQ_INDEX_MAX, TRIANGLE_INDEX_MAX, main
 from triblucas.sequences import (
     NUMBER_MEMO_CAP,
     tribonacci_lucas_number,
@@ -83,6 +83,11 @@ def test_seq_streams_the_per_index_values(capsys, fmt, family):
      SEQ_INDEX_MAX),
     (("poly", "tl", str(10 ** 12)), POLY_INDEX_MAX),
     (("poly", "tribonacci", str(POLY_INDEX_MAX + 1)), POLY_INDEX_MAX),
+    (("table", "2", "--rows", str(10 ** 12)), TRIANGLE_INDEX_MAX),
+    (("table", "3", "--rows", str(TRIANGLE_INDEX_MAX + 1)), TRIANGLE_INDEX_MAX),
+    (("incomplete", "tl", str(10 ** 12), "0"), TRIANGLE_INDEX_MAX),
+    (("incomplete", "tribonacci", str(TRIANGLE_INDEX_MAX + 1), "1"),
+     TRIANGLE_INDEX_MAX),
 ])
 def test_indices_past_the_bounds_exit_2_without_allocating(capsys, argv, bound):
     run(capsys, "seq", "tribonacci", "0", "3")   # imports and parser caches
@@ -100,7 +105,9 @@ def test_indices_past_the_bounds_exit_2_without_allocating(capsys, argv, bound):
 
 
 @pytest.mark.parametrize("command, bound", [("seq", SEQ_INDEX_MAX),
-                                            ("poly", POLY_INDEX_MAX)])
+                                            ("poly", POLY_INDEX_MAX),
+                                            ("table", TRIANGLE_INDEX_MAX),
+                                            ("incomplete", TRIANGLE_INDEX_MAX)])
 def test_help_names_the_index_bounds(capsys, command, bound):
     assert main([command, "--help"]) == 0
     assert f"at most {bound}" in capsys.readouterr().out
