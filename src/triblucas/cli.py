@@ -6,8 +6,9 @@ values, optionally evaluated at a rational x), ``gf`` (generating-function
 expansion with a matches-direct comparator verdict) and ``verify`` (the
 identity suite).  Exit codes: 0 success, 1 verification failure, 2 usage
 error (including a ``seq`` index above ``SEQ_INDEX_MAX``, a ``poly``
-index above ``POLY_INDEX_MAX``, or a ``table --rows`` count or an
-``incomplete`` index above ``TRIANGLE_INDEX_MAX``, each rejected before any
+index above ``POLY_INDEX_MAX``, a ``table --rows`` count or an
+``incomplete`` index above ``TRIANGLE_INDEX_MAX``, or a ``gf`` level above
+``GF_S_MAX`` or order above ``GF_ORDER_MAX``, each rejected before any
 work), 3 internal error (an unexpected exception, reported as one
 ``error: internal: <Type>: <message>`` line on stderr).  All output is
 UTF-8 with "\\n" newlines and deterministic.
@@ -40,10 +41,14 @@ PLAIN, JSON, CSV, BFILE = "plain", "json", "csv", "bfile"
 # 4,300 that ``str(int)`` accepts by default; the polynomial memo grows as
 # O(n^2) coefficients, about 100 MB for both families at n = 1000.  Tables
 # and incomplete values fill the polynomial triangle or the double sums, whose
-# memos and text grow as O(n^3): about 100 MB at 150 rows.
+# memos and text grow as O(n^3): about 100 MB at 150 rows.  A symbolic ``gf``
+# inc-tl expansion at the corner s = 24, order 192 takes about a second and
+# 80 MB; the bounds cover the large verify range (s 16, order 128).
 SEQ_INDEX_MAX = 16000
 POLY_INDEX_MAX = 1000
 TRIANGLE_INDEX_MAX = 150
+GF_S_MAX = 24
+GF_ORDER_MAX = 192
 
 
 class _UsageError(Exception):
@@ -223,6 +228,10 @@ _VARIANT_FLAGS = {
 
 
 def _cmd_gf(args) -> int:
+    if args.s > GF_S_MAX:
+        raise _UsageError(f"s must be <= {GF_S_MAX}, got {args.s}")
+    if args.order > GF_ORDER_MAX:
+        raise _UsageError(f"order must be <= {GF_ORDER_MAX}, got {args.order}")
     family = _GF_FAMILIES[args.family]
     variant = _VARIANT_FLAGS[args.variant]
     if family is incomplete.IncompleteFamily.INC_TRIBONACCI_LUCAS:
@@ -356,8 +365,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gf", help="generating-function expansion + comparator")
     p.add_argument("family", choices=sorted(_GF_FAMILIES))
-    p.add_argument("s", type=int)
-    p.add_argument("order", type=int)
+    p.add_argument("s", type=int, help=f"incomplete level, at most {GF_S_MAX}")
+    p.add_argument("order", type=int,
+                   help=f"number of series coefficients, at most {GF_ORDER_MAX}")
     p.add_argument("--variant", choices=sorted(_VARIANT_FLAGS), default="corrected")
     p.add_argument("--x", help="rational evaluation point; omit for symbolic x")
     _add_format(p, [PLAIN, JSON, CSV])

@@ -1,4 +1,4 @@
-"""The four base families and a floating-point closed-form cross-check.
+"""The four base families and a fixed-point closed-form cross-check.
 
 Tribonacci numbers      T_{n+1} = T_n + T_{n-1} + T_{n-2},  T_0 = 0, T_1 = T_2 = 1
 Tribonacci-Lucas        K_{n+1} = K_n + K_{n-1} + K_{n-2},  K_0 = 3, K_1 = 1, K_2 = 3
@@ -11,22 +11,27 @@ T_n and K_n below ``NUMBER_MEMO_CAP`` come from an append-only memo of the
 recurrence; from the cap up they come from t^n mod t^3 - t^2 - t - 1 by
 square-and-multiply (Fiduccia's doubling), so no memo grows past the cap.
 The closed forms over the characteristic roots of t^3 = t^2 + t + 1 are
-implemented as floating-point checks only; the iterative recurrences are
-always the source of truth.
+implemented as approximate checks only, in fixed-point integers; the
+iterative recurrences are always the source of truth.  The mpmath root
+finders (``binet_roots``, ``binet_roots_from_radicals``) are independent
+cross-checks of the fixed-point roots and import mpmath when called.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, List, Sequence, Tuple, TypeVar
-
-import mpmath
+from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple, TypeVar
 
 from .errors import DomainError, NumericalInstabilityError
 from .poly import IntPoly
+
+if TYPE_CHECKING:
+    import mpmath
 
 V = TypeVar("V")
 
@@ -187,6 +192,8 @@ def binet_roots(precision: int = 64) -> BinetRoots:
 def _solved_roots(precision: int) -> BinetRoots:
     # One solve per precision: the roots are immutable and do not depend on
     # the caller's mpmath context, because workprec sets it absolutely.
+    import mpmath
+
     with mpmath.workprec(precision + 16):
         roots = [mpmath.mpc(r)
                  for r in mpmath.polyroots([1, -1, -1, -1], extraprec=precision)]
@@ -207,6 +214,8 @@ def binet_roots_from_radicals(precision: int = 64) -> BinetRoots:
     """The same roots via the nested-radical expressions; cross-check path."""
     if precision < 53:
         raise DomainError(f"precision must be at least 53 bits, got {precision}")
+    import mpmath
+
     with mpmath.workprec(precision + 16):
         s33 = mpmath.sqrt(33)
         a_cube = mpmath.cbrt(19 + 3 * s33)
@@ -224,33 +233,105 @@ _NUMBER_FAMILIES = {
 }
 
 
+# Complex fixed-point numbers are (re, im) pairs of ints scaled by 2^bits.
+Fixed = Tuple[int, int]
+
+
+def _fixed_mul(a: Fixed, b: Fixed, bits: int) -> Fixed:
+    (ar, ai), (br, bi) = a, b
+    return (ar * br - ai * bi) >> bits, (ar * bi + ai * br) >> bits
+
+
+def _fixed_pow(z: Fixed, n: int, bits: int) -> Fixed:
+    """z^n by square-and-multiply, truncating after every product."""
+    out = (1 << bits, 0)
+    for bit in bin(n)[2:]:
+        out = _fixed_mul(out, out, bits)
+        if bit == "1":
+            out = _fixed_mul(out, z, bits)
+    return out
+
+
+def _vieta_residuals(roots: Tuple[Fixed, Fixed, Fixed], bits: int) -> Tuple[Fixed, ...]:
+    """Sum - 1, pair sum + 1 and product - 1 of the three roots."""
+    one = 1 << bits
+    a, b, g = roots
+    ab, ag, bg = _fixed_mul(a, b, bits), _fixed_mul(a, g, bits), _fixed_mul(b, g, bits)
+    abg = _fixed_mul(ab, g, bits)
+    return ((a[0] + b[0] + g[0] - one, a[1] + b[1] + g[1]),
+            (ab[0] + ag[0] + bg[0] + one, ab[1] + ag[1] + bg[1]),
+            (abg[0] - one, abg[1]))
+
+
+@lru_cache(maxsize=None)
+def _fixed_roots(bits: int) -> Tuple[Fixed, Fixed, Fixed]:
+    """alpha, beta, gamma of t^3 - t^2 - t - 1 with ``bits`` fractional bits.
+
+    alpha comes from integer Newton steps started at t = 2, where f(2) = 1
+    and f is convex, so the iterates fall monotonically onto the root; the
+    conjugate pair ((1 - alpha) ± i·sqrt(4/alpha - (1 - alpha)^2))/2 follows
+    from beta + gamma = 1 - alpha and beta·gamma = 1/alpha, and beta has the
+    positive imaginary part.  Vieta residuals above 2^(-bits/2) raise
+    :class:`NumericalInstabilityError`.
+    """
+    one = 1 << bits
+    a = 2 << bits
+    while True:
+        a2 = a * a >> bits
+        step = (((a2 * a >> bits) - a2 - a - one) << bits) // (3 * a2 - 2 * a - one)
+        if step <= 0:
+            break
+        a -= step
+    disc = (4 << 2 * bits) // a - ((one - a) ** 2 >> bits)
+    re, im = (one - a) >> 1, math.isqrt(disc << bits) >> 1
+    roots = ((a, 0), (re, im), (re, -im))
+    if any(part * part > one for r in _vieta_residuals(roots, bits) for part in r):
+        raise NumericalInstabilityError(
+            "root refinement failed the Vieta residual bound; "
+            "request higher precision")
+    return roots
+
+
+def _t_weight(r: Fixed, bits: int) -> Fixed:
+    """r / f'(r) = r / (3r^2 - 2r - 1), which equals r / ((r - s)(r - t))."""
+    rr = _fixed_mul(r, r, bits)
+    dr, di = 3 * rr[0] - 2 * r[0] - (1 << bits), 3 * rr[1] - 2 * r[1]
+    norm = dr * dr + di * di
+    return (((r[0] * dr + r[1] * di) << bits) // norm,
+            ((r[1] * dr - r[0] * di) << bits) // norm)
+
+
 def binet_estimate(n: int, family: SequenceFamily,
-                   precision: int = 64) -> mpmath.mpf:
+                   precision: int = 64) -> Fraction:
     """Closed-form estimate of T_n or K_n over the characteristic roots.
 
     K_n = alpha^n + beta^n + gamma^n;
-    T_n = alpha^(n+1)/((alpha-beta)(alpha-gamma)) + (two symmetric terms).
+    T_n = alpha^(n+1)/((alpha-beta)(alpha-gamma)) + (two symmetric terms),
+    where each denominator (r - s)(r - t) equals f'(r) = 3r^2 - 2r - 1.
 
-    The imaginary residue must stay below 1e-6 of the magnitude (it is then
-    discarded); otherwise :class:`NumericalInstabilityError` suggests a
-    higher precision.
+    Each term is computed in complex fixed point with
+    ``precision + 32 + n.bit_length()`` fractional bits, so the result, an
+    exact ``Fraction`` with a power-of-two denominator, keeps at least
+    ``precision`` significant bits.  The imaginary parts of the three terms
+    must sum to below 1e-6 of the magnitude (they are then discarded);
+    otherwise :class:`NumericalInstabilityError` suggests a higher precision.
     """
     if n < 0:
         raise DomainError(f"index must be nonnegative, got {n}")
     if family not in _NUMBER_FAMILIES:
         raise DomainError(f"no closed-form estimate for family {family!r}")
-    roots = binet_roots(precision)
-    with mpmath.workprec(precision + 32):
-        a, b, g = roots.alpha, roots.beta, roots.gamma
-        if family is SequenceFamily.TRIBONACCI_LUCAS_NUMBER:
-            value = a ** n + b ** n + g ** n
-        else:
-            value = (a ** (n + 1) / ((a - b) * (a - g))
-                     + b ** (n + 1) / ((b - a) * (b - g))
-                     + g ** (n + 1) / ((g - a) * (g - b)))
-        magnitude = max(abs(value), mpmath.mpf(1))
-        if abs(mpmath.im(value)) > 1e-6 * magnitude:
-            raise NumericalInstabilityError(
-                f"imaginary residue {mpmath.im(value)} too large for n={n}; "
-                "request higher precision")
-        return mpmath.re(value)
+    if precision < 53:
+        raise DomainError(f"precision must be at least 53 bits, got {precision}")
+    bits = precision + 32 + n.bit_length()
+    roots = _fixed_roots(bits)
+    terms = [_fixed_pow(r, n, bits) for r in roots]
+    if family is SequenceFamily.TRIBONACCI_NUMBER:
+        terms = [_fixed_mul(t, _t_weight(r, bits), bits) for t, r in zip(terms, roots)]
+    re = sum(t[0] for t in terms)
+    im = sum(t[1] for t in terms)
+    magnitude = max(abs(re), 1 << bits)
+    if abs(im) * 10 ** 6 > magnitude:
+        raise NumericalInstabilityError(
+            f"imaginary residue {abs(im) / magnitude:.3g} of the magnitude "
+            f"too large for n={n}; request higher precision")
+    return Fraction(re, 1 << bits)

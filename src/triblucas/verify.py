@@ -17,6 +17,7 @@ identity through the same code path.
 
 from __future__ import annotations
 
+import decimal
 import json
 import operator
 from dataclasses import dataclass
@@ -134,9 +135,19 @@ def _render(value) -> str:
     return str(value)
 
 
+def _render_binet(value) -> str:
+    # The estimate is an exact Fraction over 2^bits; its full numerator and
+    # denominator run to hundreds of digits, so print 20 significant digits.
+    if isinstance(value, Fraction):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 20
+            return str(decimal.Decimal(value.numerator) / value.denominator)
+    return _render(value)
+
+
 def _within_binet_tol(estimate, value: int) -> bool:
-    # |estimate - value| <= tol * max(1, value), in mpf/int arithmetic: a
-    # float bound overflows once value passes about 1.8e308.
+    # |estimate - value| <= tol * max(1, value), in Fraction/int arithmetic:
+    # a float bound overflows once value passes about 1.8e308.
     tol = BINET_REL_TOL
     return abs(estimate - value) * tol.denominator <= tol.numerator * max(1, value)
 
@@ -288,15 +299,16 @@ class CatalogEntry:
     domain: Callable[[SweepRange], str]
     extra_notes: str = ""
     agree: Callable[[object, object], bool] = operator.eq
+    render: Callable[[object], str] = _render
 
 
 def _entries() -> List[CatalogEntry]:
     e = []
 
     def add(id_, description, formula_key, runner, domain, expects_failures=False,
-            extra_notes="", agree=operator.eq):
+            extra_notes="", agree=operator.eq, render=_render):
         e.append(CatalogEntry(id_, description, formula_key, expects_failures,
-                              runner, domain, extra_notes, agree))
+                              runner, domain, extra_notes, agree, render))
 
     add("eq2.2", "Tribonacci-Lucas numbers as the rising-diagonal double binomial sum",
         "2.2", _check_eq22, lambda r: f"1 <= n <= {r.n_max}")
@@ -356,12 +368,12 @@ def _entries() -> List[CatalogEntry]:
     add("binet-T", "Tribonacci closed form over the characteristic roots vs the recurrence",
         "1.3 (with 1.1)", _binet_checker(SequenceFamily.TRIBONACCI_NUMBER, tribonacci_number),
         lambda r: f"0 <= n <= {r.n_max}, relative tolerance 1e-6, {BINET_PRECISION}-bit floats",
-        agree=_within_binet_tol)
+        agree=_within_binet_tol, render=_render_binet)
     add("binet-K", "Tribonacci-Lucas closed form over the characteristic roots vs the recurrence",
         "1.3 (with 1.2)", _binet_checker(SequenceFamily.TRIBONACCI_LUCAS_NUMBER,
                                          tribonacci_lucas_number),
         lambda r: f"0 <= n <= {r.n_max}, relative tolerance 1e-6, {BINET_PRECISION}-bit floats",
-        agree=_within_binet_tol)
+        agree=_within_binet_tol, render=_render_binet)
     add("poly-at-1", "polynomial families at x = 1 reduce to the number families",
         "polynomial recurrences", _check_poly_at_1,
         lambda r: f"0 <= n <= {r.n_max}, both families")
@@ -437,7 +449,7 @@ def run_identity(identity_id: str, rng: Optional[SweepRange] = None) -> Identity
             total_failures += 1
             if len(examples) < MAX_COUNTEREXAMPLES:
                 examples.append(Failure(tuple((k, _render(v)) for k, v in params),
-                                        _render(lhs), _render(rhs)))
+                                        entry.render(lhs), entry.render(rhs)))
     notes = f"domain: {entry.domain(rng)}"
     if entry.extra_notes:
         notes += f"; {entry.extra_notes}"

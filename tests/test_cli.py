@@ -1,12 +1,22 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from triblucas.cli import POLY_INDEX_MAX, SEQ_INDEX_MAX, TRIANGLE_INDEX_MAX, main
+from triblucas.cli import (
+    GF_ORDER_MAX,
+    GF_S_MAX,
+    POLY_INDEX_MAX,
+    SEQ_INDEX_MAX,
+    TRIANGLE_INDEX_MAX,
+    main,
+)
 from triblucas.sequences import (
     NUMBER_MEMO_CAP,
     tribonacci_lucas_number,
@@ -17,6 +27,7 @@ FAMILY_FUNCS = {"tribonacci": tribonacci_number,
                 "tribonacci-lucas": tribonacci_lucas_number}
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -88,6 +99,10 @@ def test_seq_streams_the_per_index_values(capsys, fmt, family):
     (("incomplete", "tl", str(10 ** 12), "0"), TRIANGLE_INDEX_MAX),
     (("incomplete", "tribonacci", str(TRIANGLE_INDEX_MAX + 1), "1"),
      TRIANGLE_INDEX_MAX),
+    (("gf", "inc-tl", str(10 ** 12), "7"), GF_S_MAX),
+    (("gf", "inc-tribonacci", str(GF_S_MAX + 1), "7"), GF_S_MAX),
+    (("gf", "inc-tribonacci", "1", str(10 ** 12)), GF_ORDER_MAX),
+    (("gf", "inc-tl", "1", str(GF_ORDER_MAX + 1), "--x=-5/7"), GF_ORDER_MAX),
 ])
 def test_indices_past_the_bounds_exit_2_without_allocating(capsys, argv, bound):
     run(capsys, "seq", "tribonacci", "0", "3")   # imports and parser caches
@@ -107,10 +122,31 @@ def test_indices_past_the_bounds_exit_2_without_allocating(capsys, argv, bound):
 @pytest.mark.parametrize("command, bound", [("seq", SEQ_INDEX_MAX),
                                             ("poly", POLY_INDEX_MAX),
                                             ("table", TRIANGLE_INDEX_MAX),
-                                            ("incomplete", TRIANGLE_INDEX_MAX)])
+                                            ("incomplete", TRIANGLE_INDEX_MAX),
+                                            ("gf", GF_S_MAX),
+                                            ("gf", GF_ORDER_MAX)])
 def test_help_names_the_index_bounds(capsys, command, bound):
     assert main([command, "--help"]) == 0
     assert f"at most {bound}" in capsys.readouterr().out
+
+
+def _python(code: str) -> subprocess.CompletedProcess:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_cli_import_does_not_load_mpmath():
+    done = _python("import sys, triblucas.cli; assert 'mpmath' not in sys.modules")
+    assert done.returncode == 0, done.stderr
+
+
+def test_default_verify_needs_no_mpmath():
+    done = _python("import sys; sys.modules['mpmath'] = None; from triblucas import cli; "
+                   "sys.exit(cli.main(['verify', '--format', 'json']))")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (ROOT / "perfbench" / "reference"
+                           / "verify-default-seed0.json").read_bytes()
 
 
 def test_poly_plain(capsys):

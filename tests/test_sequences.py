@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import mpmath
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +9,6 @@ import triblucas.sequences as sequences
 from triblucas.errors import DomainError, NumericalInstabilityError
 from triblucas.poly import IntPoly, poly_format
 from triblucas.sequences import (
-    BinetRoots,
     SequenceFamily,
     binet_estimate,
     binet_roots,
@@ -185,14 +186,49 @@ def test_binet_estimate_rejects_polynomial_families():
 
 
 def test_binet_estimate_flags_large_imaginary_residue(monkeypatch):
-    import triblucas.sequences as seq
-    good = binet_roots(64)
-    # A conjugate-symmetry-breaking perturbation leaves a visible imaginary part.
-    broken = BinetRoots(good.alpha, good.beta * mpmath.mpc(1, 0.01), good.gamma,
-                        good.w, good.precision)
-    monkeypatch.setattr(seq, "binet_roots", lambda precision: broken)
+    solve = sequences._fixed_roots
+
+    def broken(bits):
+        # A conjugate-symmetry-breaking perturbation, beta·(1 + 0.01i),
+        # leaves a visible imaginary part.
+        alpha, beta, gamma = solve(bits)
+        one = 1 << bits
+        return alpha, sequences._fixed_mul(beta, (one, one // 100), bits), gamma
+
+    monkeypatch.setattr(sequences, "_fixed_roots", broken)
     with pytest.raises(NumericalInstabilityError):
-        seq.binet_estimate(9, SequenceFamily.TRIBONACCI_LUCAS_NUMBER)
+        sequences.binet_estimate(9, SequenceFamily.TRIBONACCI_LUCAS_NUMBER)
+
+
+def _exact(x) -> Fraction:
+    # man_exp holds |x| = man·2^exp; the sign is read separately.
+    man, exp = x.man_exp
+    return (-1 if x < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+
+
+@pytest.mark.parametrize("precision", [64, 80, 128])
+def test_fixed_point_roots_match_both_mpmath_paths(precision):
+    fixed = sequences._fixed_roots(precision)
+    bound = Fraction(1, 2 ** (precision // 2))
+    for found in (binet_roots(precision), binet_roots_from_radicals(precision)):
+        for (re, im), root in zip(fixed, (found.alpha, found.beta, found.gamma)):
+            d_re = Fraction(re, 2 ** precision) - _exact(root.real)
+            d_im = Fraction(im, 2 ** precision) - _exact(root.imag)
+            assert d_re ** 2 + d_im ** 2 <= bound ** 2
+
+
+def test_binet_estimate_keeps_the_requested_bits():
+    # At least 64 significant bits for every n <= 1300, and an absolute
+    # error far below 1e-12 while the values still fit a float's mantissa.
+    for family, exact in [(SequenceFamily.TRIBONACCI_NUMBER, tribonacci_number),
+                          (SequenceFamily.TRIBONACCI_LUCAS_NUMBER, tribonacci_lucas_number)]:
+        for n in range(1301):
+            estimate = binet_estimate(n, family, precision=64)
+            assert isinstance(estimate, Fraction)
+            error = abs(estimate - exact(n))
+            assert error * 2 ** 64 <= max(1, exact(n)), (family, n)
+            if n < 60:
+                assert error < 1e-12, (family, n)
 
 
 def test_concurrent_cache_growth_matches_serial():

@@ -7,7 +7,12 @@ import pytest
 
 from triblucas import incomplete as inc
 from triblucas.errors import UnknownIdentityError
-from triblucas.sequences import SequenceFamily, binet_estimate, tribonacci_number
+from triblucas.sequences import (
+    SequenceFamily,
+    binet_estimate,
+    tribonacci_lucas_number,
+    tribonacci_number,
+)
 from triblucas.verify import (
     BINET_PRECISION,
     EXPECTED_FAIL,
@@ -21,6 +26,7 @@ from triblucas.verify import (
     run_all,
     run_identity,
     _CATALOG,
+    _render_binet,
     _within_binet_tol,
 )
 
@@ -143,17 +149,33 @@ def test_determinism_byte_identical_json():
         "db30a37c8aa37367038b8551522bfbdcc6bd10acdceb0765981c604d641a73c5")
 
 
-def test_binet_tolerance_is_exact_beyond_float_range():
-    # T_1300 is about 10^343, past the largest float, so a float bound would
-    # overflow; the comparison stays in mpf/int arithmetic.
+def test_binet_tolerance_is_exact_beyond_float_range(monkeypatch):
+    # T_1300 and K_1300 are about 10^343, past the largest float, so a float
+    # bound would overflow; the comparison stays in Fraction/int arithmetic.
     n = 1300
-    exact = tribonacci_number(n)
-    estimate = binet_estimate(n, SequenceFamily.TRIBONACCI_NUMBER, BINET_PRECISION)
-    assert exact > 10 ** 309
-    assert _within_binet_tol(estimate, exact)
-    assert not _within_binet_tol(estimate, exact + exact // 10 ** 5)
+    for family, exact in [(SequenceFamily.TRIBONACCI_NUMBER, tribonacci_number(n)),
+                          (SequenceFamily.TRIBONACCI_LUCAS_NUMBER,
+                           tribonacci_lucas_number(n))]:
+        estimate = binet_estimate(n, family, BINET_PRECISION)
+        assert exact > 10 ** 309
+        assert _within_binet_tol(estimate, exact)
+        assert not _within_binet_tol(estimate, exact + exact // 10 ** 5)
+        # a witness prints 20 significant digits, not the 2^bits fraction
+        shown = _render_binet(estimate)
+        assert len(shown) <= 26 and shown.endswith(f"E+{len(str(exact)) - 1}")
+        assert shown[0] + shown[2:12] == str(exact)[:11]
     assert _CATALOG["binet-T"].agree is _within_binet_tol
     assert _CATALOG["binet-K"].agree is _within_binet_tol
+    # A wrong estimate fails the sweep with a readable witness on each side.
+    import triblucas.verify as verify_mod
+    exact_of = verify_mod.binet_estimate
+    monkeypatch.setattr(verify_mod, "binet_estimate",
+                        lambda k, fam, p: exact_of(k, fam, p) * Fraction(1001, 1000))
+    report = run_identity("binet-K", SweepRange(n_max=3, s_max=1, h_max=1, order=4))
+    assert report.status == FAIL and report.total_failures == 4
+    first = report.failures[0]
+    assert (first.params, first.lhs, first.rhs) == ((("n", "0"),), "3.003", "3")
+    assert all(len(f.lhs) <= 22 for f in report.failures)
 
 
 def test_report_json_shape():
