@@ -11,13 +11,22 @@ coefficient-sequence equality.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
+from itertools import islice, product
 from typing import Iterable, Iterator, Optional, Tuple, Union
 
 from .errors import PolyParseError
 
 Rational = Fraction
 Scalar = Union[int, "IntPoly"]
+
+POLY_DEGREE_MAX = 65536
+"""Largest power that :func:`poly_parse` reads and ``IntPoly.monomial``
+builds; both check it before they allocate.  Every polynomial the library
+makes stays far below it: degree 2 * 1000 for ``triblucas poly`` at its
+largest index, 2 * 150 for the triangle rows, 240 at the large verify range
+(n = 120)."""
 
 
 class IntPoly:
@@ -58,6 +67,9 @@ class IntPoly:
     def monomial(cls, coeff: int, power: int) -> "IntPoly":
         if power < 0:
             raise ValueError("monomial power must be nonnegative")
+        if power > POLY_DEGREE_MAX:
+            raise ValueError(f"monomial power must be <= POLY_DEGREE_MAX = "
+                             f"{POLY_DEGREE_MAX}, got {power}")
         if coeff == 0:
             return _ZERO
         return cls((0,) * power + (coeff,))
@@ -277,45 +289,83 @@ def poly_format(p: IntPoly) -> str:
     The zero polynomial renders ``0``; unit coefficients are suppressed
     except on the constant term; round-trips through :func:`poly_parse`.
     """
-    if p.is_zero():
+    coeffs = p.coeffs
+    if not coeffs:
         return "0"
     parts = []
-    for power in range(len(p.coeffs) - 1, -1, -1):
-        coeff = p.coeffs[power]
-        if coeff == 0:
-            continue
-        mag = abs(coeff)
-        if power == 0:
-            body = str(mag)
-        elif power == 1:
-            body = "x" if mag == 1 else f"{mag}*x"
-        else:
-            body = f"x^{power}" if mag == 1 else f"{mag}*x^{power}"
-        if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-    return " ".join(parts)
+    for power in range(len(coeffs) - 1, -1, -1):
+        coeff = coeffs[power]
+        if coeff:
+            mag = abs(coeff)
+            if power == 0:
+                body = str(mag)
+            else:
+                body = (("" if mag == 1 else f"{mag}*")
+                        + ("x" if power == 1 else f"x^{power}"))
+            parts.append(("+ " if coeff > 0 else "- ") + body)
+    text = " ".join(parts)
+    return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
-_TOKEN = re.compile(r"(?P<int>\d+)|(?P<x>x)|(?P<caret>\^)|(?P<star>\*)"
-                    r"|(?P<plus>\+)|(?P<minus>-)")
+# One term of the grammar below in six slots, each optional and in grammar
+# order: sign, coefficient, '*', 'x', '^', exponent; an absent slot matches
+# ''.  A match reads one whole term of well-formed text; in malformed text it
+# reads the longest run of tokens that comes in slot order, and _misplaced
+# finds the first slot that breaks the grammar.  Once _BAD_CHAR has passed
+# the text, every non-space character starts a slot, so the lookahead keeps
+# matches from being empty and findall skips nothing but whitespace.
+_TERM = re.compile(r"(?=\S)([+-]?)\s*(\d*)\s*(\*?)\s*(x?)\s*(\^?)\s*(\d*)\s*")
+_BAD_CHAR = re.compile(r"[^\dx^*+\-\s]")
+_TOKEN = re.compile(r"\d+|\S")      # names the token at an error position
+
+# For each slot: the slots that may follow it in the same term, and whether
+# the term may end after it.
+_FOLLOW = (((1, 3), False), ((2,), True), ((3,), False),
+           ((4,), True), ((5,), False), ((), True))
 
 
-def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN.match(text, pos)
-        if m is None or m.lastgroup is None:
-            raise PolyParseError(
-                f"unexpected character {text[pos]!r} at position {pos}")
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
-    return tokens
+def _misplaced(slots: Tuple[str, ...], first: bool) -> Optional[int]:
+    """The first slot of a matched term that breaks the grammar, 6 if the
+    term stops where the grammar needs another token, or None if it is
+    well formed.  Only the first term may go without a sign, and it may not
+    take ``+``."""
+    if first and slots[0] == "+":
+        return 0
+    follow, may_end = ((0, 1, 3) if first else (0,)), False
+    for slot, token in enumerate(slots):
+        if token:
+            if slot not in follow:
+                return slot
+            follow, may_end = _FOLLOW[slot]
+    return None if may_end else 6
+
+
+# Every well-formed term shape, keyed as poly_parse keys each match: (first
+# term?, sign, coefficient?, '*', 'x', '^', exponent?).  Derived from
+# _misplaced, so the grammar is written once.
+_WELL_FORMED = frozenset(
+    (first, sign, coeff, star, x, caret, exp)
+    for first, sign, coeff, star, x, caret, exp in product(
+        (True, False), ("", "+", "-"), (False, True), ("", "*"), ("", "x"),
+        ("", "^"), (False, True))
+    if _misplaced((sign, "1" * coeff, star, x, caret, "1" * exp), first) is None)
+
+
+def _term_error(text: str, index: int, slot: int,
+                problem: Optional[str] = None) -> PolyParseError:
+    """The error at ``slot`` of the ``index``-th term, or just past the term
+    for slot 6.  Only errors need positions, so the term is found again."""
+    match = next(islice(_TERM.finditer(text), index, None))
+    pos = match.start(slot + 1) if slot < 6 else match.end()
+    token = _TOKEN.match(text, pos)
+    if token is None:
+        return PolyParseError(f"unexpected end of input at position {len(text)}")
+    token = token.group()
+    if problem is None:
+        return PolyParseError(f"unexpected token {token!r} at position {pos}")
+    shown = token if len(token) <= 12 else token[:12] + "..."
+    kind = "coefficient" if slot == 1 else "exponent"
+    return PolyParseError(f"{kind} {shown!r} at position {pos} {problem}")
 
 
 def poly_parse(text: str) -> IntPoly:
@@ -323,62 +373,33 @@ def poly_parse(text: str) -> IntPoly:
 
     Grammar: ``poly := ['-'] term (('+'|'-') term)*`` with
     ``term := coeff | coeff '*' 'x' ['^' exp] | 'x' ['^' exp]``.
-    Malformed input raises :class:`PolyParseError` naming the offending
-    token and its position.
+    One regex match reads one whole term; its shape is checked against the
+    grammar before the term is taken.  Malformed input raises
+    :class:`PolyParseError` naming the offending token and its position; a
+    character outside the grammar is reported first, wherever it stands.
+    So is an exponent above ``POLY_DEGREE_MAX``, or a coefficient or
+    exponent with more digits than ``sys.get_int_max_str_digits()``, all
+    before anything is allocated.
     """
-    stripped = text.strip()
-    if not stripped:
+    if not text.strip():
         raise PolyParseError("empty polynomial text at position 0")
-    tokens = _tokenize(text)
+    bad = _BAD_CHAR.search(text)
+    if bad:
+        raise PolyParseError(
+            f"unexpected character {bad.group()!r} at position {bad.start()}")
+    max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or len(text)
     terms = []
-    i = 0
-    n = len(tokens)
-
-    def fail(idx: int) -> PolyParseError:
-        if idx < n:
-            kind, value, pos = tokens[idx]
-            return PolyParseError(f"unexpected token {value!r} at position {pos}")
-        return PolyParseError(f"unexpected end of input at position {len(text)}")
-
-    first = True
-    while i < n:
-        sign = 1
-        kind, value, pos = tokens[i]
-        if kind == "minus":
-            sign = -1
-            i += 1
-        elif kind == "plus":
-            if first:
-                raise PolyParseError(f"unexpected token '+' at position {pos}")
-            i += 1
-        elif not first:
-            raise fail(i)
-        if i >= n:
-            raise fail(i)
-        kind, value, pos = tokens[i]
-        if kind not in ("int", "x"):
-            raise fail(i)
-        coeff = 1
-        power = 0
-        if kind == "int":
-            coeff = int(value)
-            i += 1
-            if i < n and tokens[i][0] == "star":
-                i += 1
-                if i >= n or tokens[i][0] != "x":
-                    raise fail(i)
-                kind = "x"
-            else:
-                kind = ""
-        if kind == "x":
-            power = 1
-            i += 1
-            if i < n and tokens[i][0] == "caret":
-                i += 1
-                if i >= n or tokens[i][0] != "int":
-                    raise fail(i)
-                power = int(tokens[i][1])
-                i += 1
-        terms.append((power, sign * coeff))
-        first = False
+    for index, slots in enumerate(_TERM.findall(text)):
+        sign, coeff, star, x, caret, exp = slots
+        if (index == 0, sign, coeff != "", star, x, caret, exp != "") not in _WELL_FORMED:
+            raise _term_error(text, index, _misplaced(slots, index == 0))
+        if len(coeff) > max_digits or len(exp) > max_digits:
+            slot, token = (1, coeff) if len(coeff) > max_digits else (5, exp)
+            raise _term_error(text, index, slot, f"has {len(token)} digits, "
+                              f"more than the limit of {max_digits}")
+        power = (int(exp) if exp else 1) if x else 0
+        if power > POLY_DEGREE_MAX:
+            raise _term_error(text, index, 5, f"is above POLY_DEGREE_MAX = {POLY_DEGREE_MAX}")
+        value = int(coeff) if coeff else 1
+        terms.append((power, -value if sign == "-" else value))
     return IntPoly.from_terms(terms)

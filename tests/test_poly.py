@@ -1,11 +1,16 @@
+import re
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from triblucas.cli import POLY_INDEX_MAX, TRIANGLE_INDEX_MAX
 from triblucas.errors import PolyParseError
 from triblucas.poly import (
+    POLY_DEGREE_MAX,
     IntPoly,
     poly_add,
     poly_eval,
@@ -147,9 +152,204 @@ def test_eval_is_ring_homomorphism(p, q, x0):
 
 
 @settings(max_examples=200)
-@given(small_polys)
-def test_parse_format_roundtrip(p):
-    assert poly_parse(poly_format(p)) == p
+@given(small_polys, st.data())
+def test_parse_format_roundtrip(p, data):
+    text = poly_format(p)
+    assert poly_parse(text) == p
+    # The same terms in a drawn order, with drawn whitespace between tokens.
+    words = text.split(" ")
+    first = words[0] if words[0][0] == "-" else "+" + words[0]
+    terms = [first] + [sign + body for sign, body in zip(words[1::2], words[2::2])]
+    terms = data.draw(st.permutations(terms))
+    tokens = [token for term in terms for token in re.findall(r"\d+|\S", term)]
+    if tokens[0] == "+":
+        tokens = tokens[1:]
+    spaces = data.draw(st.lists(st.text(" \t\n", max_size=2),
+                                min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    shuffled = "".join(map("".join, zip(spaces, tokens + [""])))
+    assert poly_parse(shuffled) == p
+
+
+# The parser that poly_parse replaced, one step per token; the reference for
+# its results and error messages.
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<x>x)|(?P<caret>\^)|(?P<star>\*)"
+                    r"|(?P<plus>\+)|(?P<minus>-)")
+
+
+def _tokenize(text: str):
+    pos = 0
+    tokens = []
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _TOKEN.match(text, pos)
+        if m is None or m.lastgroup is None:
+            raise PolyParseError(
+                f"unexpected character {text[pos]!r} at position {pos}")
+        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
+        pos = m.end()
+    return tokens
+
+
+def _reference_parse(text: str) -> IntPoly:
+    """Inverse of :func:`poly_format` (whitespace tolerant, any term order).
+
+    Grammar: ``poly := ['-'] term (('+'|'-') term)*`` with
+    ``term := coeff | coeff '*' 'x' ['^' exp] | 'x' ['^' exp]``.
+    Malformed input raises :class:`PolyParseError` naming the offending
+    token and its position.
+    """
+    stripped = text.strip()
+    if not stripped:
+        raise PolyParseError("empty polynomial text at position 0")
+    tokens = _tokenize(text)
+    terms = []
+    i = 0
+    n = len(tokens)
+
+    def fail(idx: int) -> PolyParseError:
+        if idx < n:
+            kind, value, pos = tokens[idx]
+            return PolyParseError(f"unexpected token {value!r} at position {pos}")
+        return PolyParseError(f"unexpected end of input at position {len(text)}")
+
+    first = True
+    while i < n:
+        sign = 1
+        kind, value, pos = tokens[i]
+        if kind == "minus":
+            sign = -1
+            i += 1
+        elif kind == "plus":
+            if first:
+                raise PolyParseError(f"unexpected token '+' at position {pos}")
+            i += 1
+        elif not first:
+            raise fail(i)
+        if i >= n:
+            raise fail(i)
+        kind, value, pos = tokens[i]
+        if kind not in ("int", "x"):
+            raise fail(i)
+        coeff = 1
+        power = 0
+        if kind == "int":
+            coeff = int(value)
+            i += 1
+            if i < n and tokens[i][0] == "star":
+                i += 1
+                if i >= n or tokens[i][0] != "x":
+                    raise fail(i)
+                kind = "x"
+            else:
+                kind = ""
+        if kind == "x":
+            power = 1
+            i += 1
+            if i < n and tokens[i][0] == "caret":
+                i += 1
+                if i >= n or tokens[i][0] != "int":
+                    raise fail(i)
+                power = int(tokens[i][1])
+                i += 1
+        terms.append((power, sign * coeff))
+        first = False
+    return IntPoly.from_terms(terms)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except PolyParseError as exc:
+        return str(exc)
+
+
+def _check_against_reference(text):
+    got = _outcome(poly_parse, text)
+    if isinstance(got, str) and "POLY_DEGREE_MAX" in got:
+        # The reference has no bound and would allocate a list as long as
+        # the exponent, so only check that the text holds one past the bound.
+        assert max(int(e) for e in re.findall(r"\^\s*(\d+)", text)) > POLY_DEGREE_MAX
+    else:
+        assert got == _outcome(_reference_parse, text), text
+
+
+# Tokens, a non-ASCII digit, bad characters and whitespace.
+PARSE_ALPHABET = ("1", "23", "0", "\u0663", "x", "X", "^", "*", "+", "-", "?",
+                  " ", "\t", "\n")
+
+
+@settings(max_examples=600)
+@given(st.lists(st.sampled_from(PARSE_ALPHABET), max_size=12).map("".join))
+def test_parse_matches_reference_parser(text):
+    _check_against_reference(text)
+
+
+@pytest.mark.parametrize("text", [
+    "+x", " + 2", "-", "- -x", "x^", "x^ + 1", "x 2", "2 3", "2x", "2*", "2*3",
+    "x*2", "x^2^3", "x^-2", "*x", "^2", "x + 2 x", "1 - - 2", "x^2 + 3*x^1 -",
+    "  2 * x ^ 3 -x\t+ 7\n", "x^\u0663 + \u0663", "0", "   ", "x\nX",
+])
+def test_parse_matches_reference_on_known_cases(text):
+    _check_against_reference(text)
+
+
+@pytest.fixture
+def int_digit_limit():
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x^10000000000",
+     "exponent '10000000000' at position 2 is above POLY_DEGREE_MAX = 65536"),
+    ("3 + 2*x^65537 + x",
+     "exponent '65537' at position 8 is above POLY_DEGREE_MAX = 65536"),
+    ("x^" + "9" * 5000,
+     "exponent '999999999999...' at position 2 has 5000 digits, "
+     "more than the limit of 4300"),
+    ("x + " + "1" * 5000,
+     "coefficient '111111111111...' at position 4 has 5000 digits, "
+     "more than the limit of 4300"),
+], ids=["exponent-1e10", "exponent-past-bound", "long-exponent", "long-coefficient"])
+def test_parse_past_the_bounds_raises_without_allocating(text, message, int_digit_limit):
+    def parse():
+        with pytest.raises(PolyParseError) as info:
+            poly_parse(text)
+        assert str(info.value) == message
+
+    assert _peak_bytes(parse) < 1 << 20
+
+
+def test_monomial_past_the_bound_raises_without_allocating():
+    def build():
+        with pytest.raises(ValueError, match="POLY_DEGREE_MAX = 65536, got 10000000000"):
+            IntPoly.monomial(1, 10 ** 10)
+
+    assert _peak_bytes(build) < 1 << 20
+    with pytest.raises(ValueError, match="POLY_DEGREE_MAX"):
+        IntPoly.monomial(1, POLY_DEGREE_MAX + 1)
+
+
+def test_poly_degree_bound_covers_the_library():
+    # K_n has degree 2n; table rows and the incomplete index stop at 150,
+    # the large verify range at n = 120.
+    assert POLY_DEGREE_MAX >= 2 * max(POLY_INDEX_MAX, TRIANGLE_INDEX_MAX, 120)
+    assert IntPoly.monomial(3, POLY_DEGREE_MAX).degree == POLY_DEGREE_MAX
+    assert poly_parse(f"x^{POLY_DEGREE_MAX} - 1").degree == POLY_DEGREE_MAX
 
 
 def _fraction_horner(p, x0):
