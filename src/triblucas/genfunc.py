@@ -12,6 +12,11 @@ coefficient, giving exact rational coefficients: evaluation is a ring
 homomorphism that keeps the unit constant term, so it commutes with
 clearing and with expansion.
 
+Expansion keeps one body per pair, the longest computed so far: a shorter
+order is a prefix of it, and a longer one resumes the division from its last
+coefficients.  Every term of the Q_s and W_s factors has coefficient -1, so
+the symbolic division adds shifted coefficient lists without multiplying.
+
 The incomplete-Tribonacci generating function is
 
     Q_s(x, z) = z^(2s+1) * U_s(x, z),
@@ -49,6 +54,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, lcm
+from operator import add, sub
 from typing import Optional, Tuple, Union
 
 from .errors import DomainError, ExpansionError
@@ -181,7 +187,12 @@ def series_expand(gf: RationalGF, order: int) -> PowerSeries:
 
     Solves denominator * P = numerator coefficient by coefficient (possible
     exactly because the denominator's constant term is 1), then applies the
-    z^shift prefactor and re-truncates.  Both kernels accumulate in ``int``:
+    z^shift prefactor and re-truncates.  Each pair and coefficient kind
+    keeps one memoised body, the longest expanded so far: an order at or
+    below its length is served as a slice of it, and a longer one continues
+    the division from its last coefficients instead of from z^0.  The body
+    is replaced by a longer tuple, never grown in place.  Both kernels
+    accumulate in ``int``:
 
     - a pair with ``IntPoly`` coefficients (``int`` ones are promoted)
       divides by each of its ``factors`` in turn, or by the denominator when
@@ -189,20 +200,32 @@ def series_expand(gf: RationalGF, order: int) -> PowerSeries:
       x-coefficient lists, multiplying only by the nonzero terms of each
       den_j, and its output is the next pass's numerator.  Q_s and W_s
       carry the factors 1 - x^2 z - x z^2 - z^3 and s+1 times 1 - x^2 z,
-      whose coefficients are single monomials in x; their product has
-      s+4 coefficients with up to three binomial terms each;
+      whose coefficients are single monomials in x with coefficient -1, so
+      each of their terms adds a shifted list instead of multiplying it.
+      To resume, each pass's last len(f) - 1 outputs are rebuilt from the
+      body by multiplying it back by the later factors (p_(i-1) = f_i p_i);
     - an ``int``/``Fraction`` pair runs
       P_k = c m^k num_k - sum_j (m^j den_j) P_(k-j) on integers, with m and
       c built from the coefficient denominators so that every m^j den_j
       and c m^k num_k is an integer, and builds each coefficient
-      P_k / (c m^k) as one ``Fraction``.
+      P_k / (c m^k) as one ``Fraction``.  To resume, P_k is rebuilt as
+      c m^k p_k from the body's last len(den) - 1 coefficients.
 
     ``int`` pairs give ``int`` coefficients and pairs holding a ``Fraction``
     give ``Fraction`` ones.
     """
     if order < 0:
         raise DomainError(f"order must be nonnegative, got {order}")
-    return _expand_cached(gf, order, _coeff_kind(gf))
+    kind = _coeff_kind(gf)
+    length = max(0, order - gf.shift)
+    body = _expansions.get((gf, kind), ())
+    if len(body) < length:
+        if kind is IntPoly:
+            new = _grow_polys(gf.numerator, gf.factors or (gf.denominator,), body, length)
+        else:
+            new = _grow_scalars(gf.numerator, gf.denominator, body, length, kind is Fraction)
+        body = _expansions[(gf, kind)] = body + tuple(new)
+    return PowerSeries((_ZERO_OF[kind],) * min(gf.shift, order) + body[:length])
 
 
 def _coeff_kind(gf: RationalGF) -> type:
@@ -218,52 +241,79 @@ def _coeff_kind(gf: RationalGF) -> type:
 
 _ZERO_OF = {IntPoly: IntPoly.zero(), Fraction: Fraction(0), int: 0}
 
-
-@lru_cache(maxsize=None)
-def _expand_cached(gf: RationalGF, order: int, kind: type) -> PowerSeries:
-    body = max(0, order - gf.shift)
-    if kind is IntPoly:
-        p = _expand_polys(gf.numerator, gf.factors or (gf.denominator,), body)
-    else:
-        p = _expand_scalars(gf.numerator, gf.denominator, body, kind is Fraction)
-    coeffs = [_ZERO_OF[kind]] * min(gf.shift, order) + p
-    return PowerSeries(tuple(coeffs[:order]))
+# (pair, coefficient kind) -> the longest body expanded so far, without the
+# z^shift zeros; entries are only ever replaced by longer tuples.
+_expansions: dict = {}
 
 
-def _expand_polys(num, factors, body: int) -> list:
-    # One pass per factor on plain int lists, each writing into the lists
-    # of the pass before; IntPolys are built only once, from the last pass.
-    def ints(c):
-        return c.coeffs if isinstance(c, IntPoly) else IntPoly.constant(c).coeffs
-    p = [list(ints(c)) for c in num[:body]]
-    for den in factors:
-        terms = []      # (j, nonzero (power, coefficient) terms of den_j), ascending in j
-        for j in range(1, len(den)):
-            nonzero = [(e, c) for e, c in enumerate(ints(den[j])) if c]
-            if nonzero:
-                terms.append((j, nonzero))
-        heads, p = p, []
-        for k in range(body):
-            acc = heads[k] if k < len(heads) else []
-            for j, nonzero in terms:
-                if j > k:
-                    break
-                prev = p[k - j]
-                width = len(prev)
-                if not width:
-                    continue
-                need = nonzero[-1][0] + width
-                if len(acc) < need:
-                    acc.extend([0] * (need - len(acc)))
-                for e, c in nonzero:
-                    acc[e:e + width] = [a - c * b for a, b in zip(acc[e:e + width], prev)]
-            while acc and acc[-1] == 0:
-                acc.pop()
-            p.append(acc)
-    return [IntPoly(coeffs) for coeffs in p]
+def _ints(c) -> Tuple[int, ...]:
+    return c.coeffs if isinstance(c, IntPoly) else IntPoly.constant(c).coeffs
 
 
-def _expand_scalars(num, den, body: int, fraction: bool) -> list:
+def _terms(den, sign: int = 1) -> list:
+    # (j, nonzero (power, sign * coefficient) terms of den_j), ascending in j
+    terms = []
+    for j in range(1, len(den)):
+        nonzero = [(e, sign * c) for e, c in enumerate(_ints(den[j])) if c]
+        if nonzero:
+            terms.append((j, nonzero))
+    return terms
+
+
+def _fold(acc: list, terms, src, r: int) -> list:
+    # acc - sum_j den_j src[r - j] on x-coefficient lists, in place; a
+    # coefficient of -1 or 1 adds or subtracts the shifted list as it is.
+    for j, nonzero in terms:
+        if j > r:
+            break
+        prev = src[r - j]
+        width = len(prev)
+        if not width:
+            continue
+        need = nonzero[-1][0] + width
+        if len(acc) < need:
+            acc.extend([0] * (need - len(acc)))
+        for e, c in nonzero:
+            if c == -1:
+                acc[e:e + width] = map(add, acc[e:e + width], prev)
+            elif c == 1:
+                acc[e:e + width] = map(sub, acc[e:e + width], prev)
+            else:
+                acc[e:e + width] = [a - c * b for a, b in zip(acc[e:e + width], prev)]
+    while acc and acc[-1] == 0:
+        acc.pop()
+    return acc
+
+
+def _grow_polys(num, factors, body: tuple, length: int) -> list:
+    # Every list below that holds a pass's outputs ends at position
+    # start = len(body), so the one at index r holds position
+    # start - len(list) + r.  Rebuild, for the passes from the last back to
+    # the first, each pass's outputs at the last len(f) - 1 positions; the
+    # window of outputs read shrinks by len(f) - 1 per pass.
+    start = len(body)
+    need = sum(len(den) - 1 for den in factors)
+    window = [c.coeffs for c in body[max(0, start - need):]]
+    tails = []
+    for den in reversed(factors):
+        need -= len(den) - 1
+        tails.append(window[max(0, len(window) - (len(den) - 1)):])
+        back = _terms(den, -1)
+        window = [_fold(list(window[r]), back, window, r)
+                  for r in range(len(window) - min(start, need), len(window))]
+    # Then run every pass over the new positions only.  IntPolys are built
+    # once, from the last pass.
+    heads = [list(_ints(c)) for c in num[start:length]]
+    for den, out in zip(factors, reversed(tails)):
+        terms = _terms(den)
+        done = len(out)
+        for k in range(length - start):
+            out.append(_fold(heads[k] if k < len(heads) else [], terms, out, len(out)))
+        heads = out[done:]
+    return [IntPoly(coeffs) for coeffs in heads]
+
+
+def _grow_scalars(num, den, body: tuple, length: int, fraction: bool) -> list:
     # With P_k = c m^k p_k the recurrence runs on integers once every
     # m^j den_j and c m^k num_k is one.  m takes from each den_j only the
     # part of its denominator that m^j lacks, so denominators q^(2j), as at
@@ -276,19 +326,24 @@ def _expand_scalars(num, den, body: int, fraction: bool) -> list:
     for k, a in enumerate(num):
         e = a.denominator
         c = lcm(c, e // gcd(e, m ** k))
-    heads = [a.numerator * (c * m ** k // a.denominator) for k, a in enumerate(num)]
     terms = [(j, d.numerator * (m ** j // d.denominator))    # ascending in j
              for j, d in enumerate(den) if j and d]
-    p: list = []
+    # P_k rebuilt at the body's last len(den) - 1 positions; P[r] holds
+    # position start - len(P) + r, as in _grow_polys.
+    start = len(body)
+    first = max(0, start - (len(den) - 1))
+    P = [a.numerator * (c * m ** k // a.denominator)
+         for k, a in enumerate(body[first:], first)]
     out = []
-    scale = c        # c m^k
-    for k in range(body):
-        acc = heads[k] if k < len(heads) else 0
+    scale = c * m ** start        # c m^k
+    for k in range(start, length):
+        acc = num[k].numerator * (scale // num[k].denominator) if k < len(num) else 0
+        r = len(P)
         for j, t in terms:
-            if j > k:
+            if j > r:
                 break
-            acc -= t * p[k - j]
-        p.append(acc)
+            acc -= t * P[r - j]
+        P.append(acc)
         out.append(Fraction(acc, scale) if fraction else acc)
         scale *= m
     return out

@@ -22,11 +22,18 @@ Rational = Fraction
 Scalar = Union[int, "IntPoly"]
 
 POLY_DEGREE_MAX = 65536
-"""Largest power that :func:`poly_parse` reads and ``IntPoly.monomial``
-builds; both check it before they allocate.  Every polynomial the library
-makes stays far below it: degree 2 * 1000 for ``triblucas poly`` at its
-largest index, 2 * 150 for the triangle rows, 240 at the large verify range
-(n = 120)."""
+"""Largest power that :func:`poly_parse` reads and that ``IntPoly.monomial``,
+``from_terms``, ``shifted`` and ``**`` build; each checks it before it
+allocates.  Every polynomial the library makes stays far below it: degree
+2 * 1000 for ``triblucas poly`` at its largest index, 2 * 150 for the
+triangle rows, 240 at the large verify range (n = 120)."""
+
+
+def _check_degree(what: str, degree: int) -> int:
+    if degree > POLY_DEGREE_MAX:
+        raise ValueError(f"{what} must be <= POLY_DEGREE_MAX = {POLY_DEGREE_MAX}, "
+                         f"got {degree}")
+    return degree
 
 
 class IntPoly:
@@ -67,9 +74,7 @@ class IntPoly:
     def monomial(cls, coeff: int, power: int) -> "IntPoly":
         if power < 0:
             raise ValueError("monomial power must be nonnegative")
-        if power > POLY_DEGREE_MAX:
-            raise ValueError(f"monomial power must be <= POLY_DEGREE_MAX = "
-                             f"{POLY_DEGREE_MAX}, got {power}")
+        _check_degree("monomial power", power)
         if coeff == 0:
             return _ZERO
         return cls((0,) * power + (coeff,))
@@ -82,11 +87,12 @@ class IntPoly:
             if power < 0:
                 raise ValueError("negative power in term list")
             acc[power] = acc.get(power, 0) + coeff
-        if not acc:
+        powers = [power for power, coeff in acc.items() if coeff]
+        if not powers:
             return _ZERO
-        out = [0] * (max(acc) + 1)
-        for power, coeff in acc.items():
-            out[power] = coeff
+        out = [0] * (_check_degree("term power", max(powers)) + 1)
+        for power in powers:
+            out[power] = acc[power]
         return cls(out)
 
     # -- structure ---------------------------------------------------------
@@ -173,6 +179,8 @@ class IntPoly:
     def __pow__(self, n: int) -> "IntPoly":
         if n < 0:
             raise ValueError("negative polynomial power")
+        if len(self._coeffs) > 1:
+            _check_degree("power's degree", (len(self._coeffs) - 1) * n)
         result = _ONE
         base = self
         while n:
@@ -188,6 +196,7 @@ class IntPoly:
             raise ValueError("negative shift")
         if not self._coeffs:
             return _ZERO
+        _check_degree("shifted degree", len(self._coeffs) - 1 + k)
         p = IntPoly.__new__(IntPoly)
         p._coeffs = (0,) * k + self._coeffs
         return p

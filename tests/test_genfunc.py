@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -354,14 +356,14 @@ _FACTORED = ([_X, 1], [1, -_X2, _X2, -_X2 * _X2], ((1, -_X2), (IntPoly.one(), 0,
 @example(_FACTORED, 0, 0)
 def test_expansion_kernels_match_the_generic_loop(pair, shift, order):
     # Equal pairs with and without factors share one memo entry.
-    genfunc._expand_cached.cache_clear()
+    genfunc._expansions.clear()
     gf = RationalGF(tuple(pair[0]), tuple(pair[1]), shift, *pair[2:])
     got = series_expand(gf, order).coeffs
     want = _generic_expand(gf, order)
     assert got == want
     assert [type(c) for c in got] == [type(c) for c in want]
     if gf.factors:
-        genfunc._expand_cached.cache_clear()
+        genfunc._expansions.clear()
         plain = series_expand(RationalGF(gf.numerator, gf.denominator, shift), order)
         assert plain.coeffs == got
         assert [type(c) for c in plain.coeffs] == [type(c) for c in got]
@@ -458,7 +460,7 @@ def test_mixed_int_and_intpoly_pair_expands_to_intpolys():
 def test_expansion_memo_keeps_coefficient_types(int_first):
     # Equal int and Fraction pairs compare and hash alike; the memo must not
     # hand one kind's expansion to the other.
-    genfunc._expand_cached.cache_clear()
+    genfunc._expansions.clear()
     int_gf = RationalGF((1,), (1, -1))
     frac_gf = RationalGF((Fraction(1),), (Fraction(1), Fraction(-1)))
     order = [int_gf, frac_gf] if int_first else [frac_gf, int_gf]
@@ -466,3 +468,83 @@ def test_expansion_memo_keeps_coefficient_types(int_first):
         series_expand(gf, 4)
     assert [type(c) for c in series_expand(int_gf, 4).coeffs] == [int] * 4
     assert [type(c) for c in series_expand(frac_gf, 4).coeffs] == [Fraction] * 4
+
+
+@settings(max_examples=250)
+@given(st.one_of(_pairs(_polys, IntPoly.one()), _pairs(st.integers(-9, 9), 1),
+                 _pairs(_fracs, Fraction(1)), _graded_pairs(), _factored_pairs()),
+       st.integers(0, 8), st.lists(st.integers(0, 24), min_size=1, max_size=4))
+# Resuming a factored pair past its first len(f) - 1 positions, and short of them.
+@example(_FACTORED, 0, [5, 24])
+@example(_FACTORED, 1, [2, 3, 24, 1])
+def test_expansion_resumes_from_the_memoised_body(pair, shift, orders):
+    # Each order is served from, or continues, the longest body so far.
+    genfunc._expansions.clear()
+    gf = RationalGF(tuple(pair[0]), tuple(pair[1]), shift, *pair[2:])
+    for order in orders:
+        got = series_expand(gf, order).coeffs
+        want = _generic_expand(gf, order)
+        assert got == want, order
+        assert [type(c) for c in got] == [type(c) for c in want]
+
+
+def test_q_and_w_resumed_in_any_order_match_fresh_expansions():
+    pairs = [q_gf(s, variant, x) for s in range(13) for variant in GFVariant
+             for x in (None, Fraction(1, 2))]
+    pairs += [w_gf(s, x) for s in range(1, 13) for x in (None, Fraction(1, 2))]
+    requests = [(gf, order) for gf in pairs for order in (32, 64, 96)]
+    fresh = {}
+    for gf, order in requests:
+        genfunc._expansions.clear()
+        fresh[gf, order] = series_expand(gf, order).coeffs
+    random.Random(15).shuffle(requests)
+    genfunc._expansions.clear()
+    for gf, order in requests:
+        got = series_expand(gf, order).coeffs
+        assert got == fresh[gf, order]
+        assert [type(c) for c in got] == [type(c) for c in fresh[gf, order]]
+
+
+def test_expansion_memo_keeps_one_body_per_pair():
+    genfunc._expansions.clear()
+    gf = w_gf(5)
+    for order in (32, 96, 64):
+        series_expand(gf, order)
+    assert list(genfunc._expansions) == [(gf, IntPoly)]
+    body = genfunc._expansions[gf, IntPoly]
+    assert type(body) is tuple and len(body) == 96 - gf.shift
+    assert all(type(c) is IntPoly for c in body)
+    assert series_expand(gf, 64).coeffs[gf.shift:] == body[:64 - gf.shift]
+
+
+def test_threads_growing_one_memo_read_only_whole_bodies():
+    # Stored bodies are replaced, never grown in place, so a thread reading
+    # while another grows, or clears, the memo still gets a full prefix.
+    pairs = [q_gf(3), q_gf(7, GFVariant.AS_PRINTED), w_gf(4, Fraction(1, 2))]
+    fresh = {}
+    for gf in pairs:
+        genfunc._expansions.clear()
+        fresh[gf] = series_expand(gf, 64).coeffs
+    errors = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            if rng.random() < 0.2:
+                genfunc._expansions.clear()
+            gf, order = rng.choice(pairs), rng.choice((8, 20, 40, 64))
+            if series_expand(gf, order).coeffs != fresh[gf][:order]:
+                errors.append((gf, order))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []

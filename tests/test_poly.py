@@ -344,6 +344,43 @@ def test_monomial_past_the_bound_raises_without_allocating():
         IntPoly.monomial(1, POLY_DEGREE_MAX + 1)
 
 
+_X = IntPoly.x()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _X.shifted(10 ** 10),
+     "shifted degree must be <= POLY_DEGREE_MAX = 65536, got 10000000001"),
+    (lambda: (_X + 1).shifted(POLY_DEGREE_MAX),
+     "shifted degree must be <= POLY_DEGREE_MAX = 65536, got 65537"),
+    (lambda: IntPoly.from_terms([(10 ** 10, 1)]),
+     "term power must be <= POLY_DEGREE_MAX = 65536, got 10000000000"),
+    (lambda: IntPoly.from_terms([(2, 1), (POLY_DEGREE_MAX + 1, -1)]),
+     "term power must be <= POLY_DEGREE_MAX = 65536, got 65537"),
+    (lambda: _X ** 10 ** 10,
+     "power's degree must be <= POLY_DEGREE_MAX = 65536, got 10000000000"),
+    (lambda: (_X * _X + 1) ** (POLY_DEGREE_MAX // 2 + 1),
+     "power's degree must be <= POLY_DEGREE_MAX = 65536, got 65538"),
+])
+def test_polynomial_builders_past_the_bound_raise_without_allocating(build, message):
+    def run():
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+    assert _peak_bytes(run) < 1 << 20
+
+
+def test_polynomial_builders_reach_the_bound():
+    top = IntPoly.monomial(1, POLY_DEGREE_MAX)
+    assert _X.shifted(POLY_DEGREE_MAX - 1) == top
+    assert IntPoly.from_terms([(POLY_DEGREE_MAX, 1), (10 ** 10, 0)]) == top
+    assert _X ** POLY_DEGREE_MAX == top
+    # no degree to bound: the zero polynomial and constants
+    assert IntPoly.zero().shifted(10 ** 10) == IntPoly.zero()
+    assert IntPoly.zero() ** 10 ** 10 == IntPoly.zero()
+    assert IntPoly.one() ** 10 ** 10 == IntPoly.one()
+
+
 def test_poly_degree_bound_covers_the_library():
     # K_n has degree 2n; table rows and the incomplete index stop at 150,
     # the large verify range at n = 120.
