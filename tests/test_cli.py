@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -305,6 +306,19 @@ def test_verify_csv(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["id", "status", "points_checked", "total_failures", "notes"]
     assert rows[1][0] == "eq2.2" and rows[1][1] == "pass"
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("plain", "d2e82e251ab612ee9be4fdcf4eb829d5b6098371755f008093ed02a822eba285"),
+    ("csv", "cbf7a574b4dc59bfc60b7087e0bdcf8032206e0d56b554e8aca17c4ebf0d66bd"),
+])
+def test_verify_plain_and_csv_bytes_are_pinned(capsys, fmt, digest):
+    # The plain form lists the counterexample params in order, then the
+    # errata; the csv form carries every domain note.
+    code, out, _ = run(capsys, "verify", "--n-max", "10", "--s-max", "2",
+                       "--h-max", "4", "--order", "12", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_verify_x_points_flag(capsys):

@@ -141,6 +141,10 @@ def test_determinism_byte_identical_json():
         SMALL, x_points=(Fraction(3, 5), Fraction(-2), Fraction(7, 3)))
     assert _sha256(reports_to_json(run_all(other_x))) == (
         "d025ae1bf92ae68a286739f6720d66ae7d994ca724913fcdcf4dcaf1330c06f8")
+    # Without the symbolic mode the gf ids walk the rational x values only.
+    no_symbolic = dataclasses.replace(SMALL, include_symbolic=False)
+    assert _sha256(reports_to_json(run_all(no_symbolic))) == (
+        "d4a2cd021b6b951219652de8c23d6bc200a0ee3df6fb1d63381a1c50dc784f4d")
     # Denominators above 2 at a wider range reach the common-denominator
     # expansion kernel with large scales.
     wider = SweepRange(n_max=14, s_max=4, h_max=4, order=32,
