@@ -23,7 +23,8 @@ Scalar = Union[int, "IntPoly"]
 
 POLY_DEGREE_MAX = 65536
 """Largest power that :func:`poly_parse` reads and that ``IntPoly.monomial``,
-``from_terms``, ``shifted`` and ``**`` build; each checks it before it
+``from_terms``, ``shifted`` and ``**`` build, and the largest exponent ``**``
+takes on a constant other than 0 and +-1; each checks it before it
 allocates.  Every polynomial the library makes stays far below it: degree
 2 * 1000 for ``triblucas poly`` at its largest index, 2 * 150 for the
 triangle rows, 240 at the large verify range (n = 120)."""
@@ -181,6 +182,9 @@ class IntPoly:
             raise ValueError("negative polynomial power")
         if len(self._coeffs) > 1:
             _check_degree("power's degree", (len(self._coeffs) - 1) * n)
+        elif self._coeffs and abs(self._coeffs[0]) > 1:
+            # c^n has no degree, but as many bits as the coefficients of (c x)^n
+            _check_degree("exponent of a constant", n)
         result = _ONE
         base = self
         while n:

@@ -1,17 +1,26 @@
 """Identity catalog, exhaustive sweep runner, and the formula errata report.
 
 Every checkable identity of the Tribonacci-Lucas family treated by this
-library is registered once, keyed by a stable catalog id.  A sweep
-evaluates both sides of an identity over its full parameter lattice
-(derived from the identity's stated domain, capped by a SweepRange) with
-exact arithmetic, and reports pass/fail with verbatim counterexamples.
+library is registered once, keyed by a stable catalog id, as data: its
+lattice, ordered axes whose bounds are each written once; its ``sides``,
+one callable from a lattice point to (lhs, rhs); and a suffix for the part
+of its domain that is not a bound.  One walker enumerates every lattice,
+capped by a SweepRange, and compares the sides with exact arithmetic; the
+``domain:`` note of each report is rendered from the same axes.
+
+To add an identity, append a ``CatalogEntry`` with its axes outermost
+first (``Span`` or ``Choice``, then ``POWERS`` for a series) and sides
+taking the coordinates as keywords; under ``POWERS`` they also take
+``order`` and return two coefficient sequences, one expansion per outer
+point.  Sides call the library through this module's globals, which is
+what a tracer patches.
 
 Two ids are *expected* to fail: they faithfully reproduce closed forms
 whose printed statements disagree with direct enumeration (the z^2
 numerator term of the incomplete-Tribonacci generating function, and the
 unshifted variant of its x = 1 specialization).  The suite treats an
 unexpected pass of those ids as a failure, because it would mean the
-faithful reproduction is broken.  No checker computes both sides of an
+faithful reproduction is broken.  No entry computes both sides of an
 identity through the same code path.
 """
 
@@ -22,7 +31,7 @@ import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import genfunc as gf
 from . import incomplete as inc
@@ -63,7 +72,8 @@ class SweepRange:
 
     ``n_max`` caps the number sweeps directly; polynomial sweeps use
     min(n_max, 24) and the polynomial recurrence / partial-sum sweeps use
-    min(n_max, 20), so lowering n_max shrinks everything uniformly.
+    min(n_max, 20), so lowering n_max shrinks everything uniformly.  The
+    x points must be distinct, and without symbolic x there must be one.
     """
 
     n_max: int = 40
@@ -77,6 +87,12 @@ class SweepRange:
         for name in ("n_max", "s_max", "h_max", "order"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        xs = [Fraction(x) for x in self.x_points]
+        for k, x in enumerate(xs):
+            if x in xs[:k]:
+                raise ValueError(f"x_points must be distinct, got {x} twice")
+        if not xs and not self.include_symbolic:
+            raise ValueError("x_points must not be empty without symbolic x")
 
     @property
     def n_max_poly(self) -> int:
@@ -125,10 +141,6 @@ class IdentityReport:
         }
 
 
-# One lattice point: its parameters, then the two sides of the identity.
-Point = Tuple[Sequence[Tuple[str, object]], object, object]
-
-
 def _render(value) -> str:
     if isinstance(value, IntPoly):
         return poly_format(value)
@@ -152,280 +164,284 @@ def _within_binet_tol(estimate, value: int) -> bool:
     return abs(estimate - value) * tol.denominator <= tol.numerator * max(1, value)
 
 
-# -- checkers -----------------------------------------------------------------
+# -- lattices -----------------------------------------------------------------
 #
-# Each checker yields (params, lhs, rhs) for every point of its lattice;
-# run_identity counts the points and compares the two sides.
+# A bound is an int, a function of the SweepRange (a note prints its value)
+# or a Formula of the outer coordinates (a note prints its text).
 
-def _check_eq22(rng: SweepRange) -> Iterator[Point]:
-    for n in range(1, rng.n_max + 1):
-        yield ([("n", n)], binomial_diagonal_sum(TriangleKind.NUMBERS, n),
-               tribonacci_lucas_number(n))
-
-
-def _check_eq24(rng: SweepRange) -> Iterator[Point]:
-    for n in range(1, rng.n_max_poly + 1):
-        yield ([("n", n)], binomial_diagonal_sum(TriangleKind.POLYNOMIALS, n),
-               tribonacci_lucas_poly(n))
+class Formula(NamedTuple):
+    text: str
+    of: Callable[[dict], int]
 
 
-def _check_triangle_methods(rng: SweepRange) -> Iterator[Point]:
-    cap = min(rng.n_max, TRIANGLE_SWEEP_CAP)
-    for n in range(cap + 1):
-        for i in range(n + 1):
-            yield ([("kind", "numbers"), ("n", n), ("i", i)],
-                   triangle_entry_number(n, i, CLOSED_FORM),
-                   triangle_entry_number(n, i, RECURRENCE))
-            yield ([("kind", "polynomials"), ("n", n), ("i", i)],
-                   triangle_entry_poly(n, i, CLOSED_FORM),
-                   triangle_entry_poly(n, i, RECURRENCE))
+def _value(bound, rng: SweepRange, point: dict) -> int:
+    if isinstance(bound, Formula):
+        return bound.of(point)
+    return bound if isinstance(bound, int) else bound(rng)
 
 
-def _check_def1_methods(rng: SweepRange) -> Iterator[Point]:
-    for n in range(rng.n_max_poly + 1):
-        for s in range(n // 2 + 1):
-            yield ([("n", n), ("s", s)],
-                   inc.incomplete_tl_poly(n, s),
-                   inc.incomplete_tl_poly(n, s, inc.BINOMIAL_SUM))
+def _text(bound, rng: SweepRange) -> str:
+    return bound.text if isinstance(bound, Formula) else str(_value(bound, rng, {}))
 
 
-def _boundary_checker(which: str, n_min: int, level: Callable[[int], int]):
-    def run(rng: SweepRange) -> Iterator[Point]:
-        for n in range(n_min, rng.n_max_poly + 1):
-            yield ([("n", n)], inc.boundary_form(n, which),
-                   inc.incomplete_tl_poly(n, level(n)))
-    return run
+class Span(NamedTuple):
+    """``low <= name <= high``, stepped by one; ``name = low`` when the bounds agree."""
+
+    name: str
+    low: object
+    high: object
+
+    def values(self, rng: SweepRange, point: dict) -> range:
+        return range(_value(self.low, rng, point), _value(self.high, rng, point) + 1)
+
+    def clause(self, rng: SweepRange) -> str:
+        if self.low == self.high:
+            return f"{self.name} = {_text(self.low, rng)}"
+        return f"{_text(self.low, rng)} <= {self.name} <= {_text(self.high, rng)}"
 
 
-def _recurrence_checker(variant: str, numbers: bool):
-    def run(rng: SweepRange) -> Iterator[Point]:
-        n_cap = rng.n_max if numbers else rng.n_max_recur
-        for n in range(1, n_cap + 1):
-            top = (n - 1) // 2 if variant == inc.TRI_NONHOM_15 else n // 2
-            for s in range(top + 1):
-                direct, assembled = inc.recurrence_step(n, s, variant)
-                yield [("n", n), ("s", s)], direct, assembled
-    return run
+class Choice(NamedTuple):
+    """A tuple of values, or a function of the SweepRange; the suffix names them."""
+
+    name: str
+    options: object
+
+    def values(self, rng: SweepRange, point: dict) -> Sequence:
+        return self.options if isinstance(self.options, tuple) else self.options(rng)
+
+    def clause(self, rng: SweepRange) -> str:
+        return ""
 
 
-def _check_prop3(rng: SweepRange) -> Iterator[Point]:
-    for n in range(3, rng.n_max_poly + 1):
-        for s in range(1, (n - 1) // 2 + 1):
-            yield ([("n", n), ("s", s)], inc.tl_relation_rhs(n, s),
-                   inc.incomplete_tl_poly(n, s))
+class _Powers(NamedTuple):
+    name: str
+
+    def clause(self, rng: SweepRange) -> str:
+        return f"order {rng.order}"
 
 
-def _check_cor4(rng: SweepRange) -> Iterator[Point]:
-    for n in range(3, rng.n_max + 1):
-        for s in range(1, (n - 1) // 2 + 1):
-            # T_{n+1}(s) + T_{n-1}(s-1) + 2 T_{n-2}(s-1) from the Tribonacci
-            # double sum, against K_n(s) from the number triangle
-            lhs = (inc.incomplete_tribonacci_number(n + 1, s)
-                   + inc.incomplete_tribonacci_number(n - 1, s - 1)
-                   + 2 * inc.incomplete_tribonacci_number(n - 2, s - 1))
-            yield [("n", n), ("s", s)], lhs, inc.incomplete_tl_number(n, s)
+POWERS = _Powers("power")   # innermost: every power below the order
+N_MAX = operator.attrgetter("n_max")
+N_POLY = operator.attrgetter("n_max_poly")
+N_RECUR = operator.attrgetter("n_max_recur")
+S_MAX = operator.attrgetter("s_max")
+H_MAX = operator.attrgetter("h_max")
+UP_TO_N = Formula("n", lambda p: p["n"])
+HALF_N = Formula("floor(n/2)", lambda p: p["n"] // 2)
+HALF_N_1 = Formula("floor((n-1)/2)", lambda p: (p["n"] - 1) // 2)
+HALF_N_2 = Formula("floor((n-2)/2)", lambda p: (p["n"] - 2) // 2)
+X_MODES = Choice("x", SweepRange.x_modes)
+X_ONE = Choice("x", (Fraction(1),))
 
 
-def _check_thm5(rng: SweepRange) -> Iterator[Point]:
-    for n in range(1, rng.n_max_recur + 1):
-        for h in range(1, rng.h_max + 1):
-            for s in range(n // 2 + 1):
-                lhs, rhs = inc.partial_sum_lhs_rhs(n, h, s)
-                yield [("n", n), ("h", h), ("s", s)], lhs, rhs
+def _x_set(rng: SweepRange) -> str:
+    xs = ", ".join(str(x) for x in rng.x_points)
+    return f"x in {{{xs}}}" + (" and symbolic x" if rng.include_symbolic else "")
 
 
-def _row_sum_checker(mode: str):
-    def run(rng: SweepRange) -> Iterator[Point]:
-        cap = rng.n_max if mode == inc.NUMBERS else rng.n_max_poly
-        for n in range(1, cap + 1):
-            lhs, rhs = inc.row_sum_lhs_rhs(n, mode)
-            yield [("n", n)], lhs, rhs
-    return run
+def _walk(axes, rng: SweepRange, point: dict) -> Iterator[dict]:
+    # each point of the lattice, as one dict updated in place
+    if not axes:
+        yield point
+        return
+    axis = axes[0]
+    for value in axis.values(rng, point):
+        point[axis.name] = value
+        yield from _walk(axes[1:], rng, point)
 
-
-def _binet_checker(family: SequenceFamily, exact: Callable[[int], int]):
-    def run(rng: SweepRange) -> Iterator[Point]:
-        for n in range(rng.n_max + 1):
-            yield [("n", n)], binet_estimate(n, family, BINET_PRECISION), exact(n)
-    return run
-
-
-def _check_poly_at_1(rng: SweepRange) -> Iterator[Point]:
-    for n in range(rng.n_max + 1):
-        yield ([("family", "tribonacci"), ("n", n)],
-               tribonacci_poly(n).evaluate(1), tribonacci_number(n))
-        yield ([("family", "tribonacci-lucas"), ("n", n)],
-               tribonacci_lucas_poly(n).evaluate(1), tribonacci_lucas_number(n))
-
-
-def _mode_label(x: Optional[Fraction]) -> str:
-    return "symbolic" if x is None else str(x)
-
-
-def _gf_checker(family: inc.IncompleteFamily, variant: gf.GFVariant,
-                s_min: int, x_modes: Optional[Callable[[SweepRange], list]] = None):
-    def run(rng: SweepRange) -> Iterator[Point]:
-        modes = x_modes(rng) if x_modes else rng.x_modes()
-        for s in range(s_min, rng.s_max + 1):
-            for x in modes:
-                series = gf.gf_vs_direct(family, s, variant, x, rng.order).series
-                # the direct values gf_vs_direct compared against, from its memo
-                direct = gf.direct_series(family, s, x, rng.order)
-                for power, (got, want) in enumerate(zip(series.coeffs, direct)):
-                    yield ([("s", s), ("x", _mode_label(x)), ("power", power)],
-                           got, want)
-    return run
-
-
-def _check_eq16_shift(rng: SweepRange) -> Iterator[Point]:
-    for s in range(rng.s_max + 1):
-        series = gf.series_expand(gf.q_gf_numbers_unshifted(s), rng.order)
-        # the x = 1 values cor11 compared against
-        direct = gf.direct_series(inc.IncompleteFamily.INC_TRIBONACCI, s,
-                                  Fraction(1), rng.order)
-        for power in range(rng.order):
-            yield [("s", s), ("power", power)], series[power], direct[power]
-
-
-# -- catalog ------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class CatalogEntry:
     id: str
     description: str
     formula_key: str
-    expects_failures: bool
-    runner: Callable[[SweepRange], Iterator[Point]]
-    domain: Callable[[SweepRange], str]
+    axes: Tuple[Union[Span, Choice, _Powers], ...]
+    sides: Callable[..., Tuple[object, object]]
+    suffix: Union[str, Callable[[SweepRange], str]] = ""
+    expects_failures: bool = False
     extra_notes: str = ""
     agree: Callable[[object, object], bool] = operator.eq
     render: Callable[[object], str] = _render
 
+    def points(self, rng: SweepRange) -> Iterator[Tuple[dict, object, object]]:
+        """(point, lhs, rhs) at each point of the lattice, in walk order."""
+        *outer, inner = self.axes
+        sides = self.sides
+        for point in _walk(outer, rng, {}):
+            if inner is POWERS:
+                series = sides(order=rng.order, **point)
+                for power, (lhs, rhs) in enumerate(zip(*series)):
+                    point["power"] = power
+                    yield point, lhs, rhs
+                del point["power"]   # not a keyword of the next sides call
+            else:
+                for value in inner.values(rng, point):
+                    point[inner.name] = value
+                    lhs, rhs = sides(**point)
+                    yield point, lhs, rhs
 
-def _entries() -> List[CatalogEntry]:
-    e = []
+    def params(self, point: dict) -> Tuple[Tuple[str, str], ...]:
+        return tuple((name, "symbolic" if value is None else _render(value))
+                     for name, value in point.items())
 
-    def add(id_, description, formula_key, runner, domain, expects_failures=False,
-            extra_notes="", agree=operator.eq, render=_render):
-        e.append(CatalogEntry(id_, description, formula_key, expects_failures,
-                              runner, domain, extra_notes, agree, render))
-
-    add("eq2.2", "Tribonacci-Lucas numbers as the rising-diagonal double binomial sum",
-        "2.2", _check_eq22, lambda r: f"1 <= n <= {r.n_max}")
-    add("eq2.4", "Tribonacci-Lucas polynomials as the rising-diagonal double binomial sum",
-        "2.4", _check_eq24, lambda r: f"1 <= n <= {r.n_max_poly}")
-    add("closed-vs-recurrence-triangle",
-        "triangle entries: closed binomial forms equal the table recurrences, both kinds",
-        "2.1 / 2.3 + closed forms", _check_triangle_methods,
-        lambda r: f"0 <= i <= n <= {min(r.n_max, TRIANGLE_SWEEP_CAP)}, both kinds")
-    add("def1-methods",
-        "incomplete Tribonacci-Lucas polynomials: triangle partial sums equal the truncated double sum",
-        "3.1", _check_def1_methods,
-        lambda r: f"0 <= n <= {r.n_max_poly}, 0 <= s <= floor(n/2)")
-    add("eq3.3", "level-0 incomplete Tribonacci-Lucas polynomial is x^(2n)",
-        "3.3", _boundary_checker(inc.EQ33, 1, lambda n: 0),
-        lambda r: f"1 <= n <= {r.n_max_poly}, s = 0")
-    add("eq3.4", "level-1 incomplete Tribonacci-Lucas polynomial closed form",
-        "3.4", _boundary_checker(inc.EQ34, 3, lambda n: 1),
-        lambda r: f"3 <= n <= {r.n_max_poly}, s = 1")
-    add("eq3.5", "maximum truncation level recovers the complete polynomial",
-        "3.5", _boundary_checker(inc.EQ35, 1, lambda n: n // 2),
-        lambda r: f"1 <= n <= {r.n_max_poly}, s = floor(n/2)")
-    add("eq3.6", "second-to-maximum level: complete polynomial minus the top diagonal entry",
-        "3.6", _boundary_checker(inc.EQ36, 2, lambda n: (n - 2) // 2),
-        lambda r: f"2 <= n <= {r.n_max_poly}, s = floor((n-2)/2)")
-    add("eq3.7", "homogeneous recurrence of the incomplete Tribonacci-Lucas polynomials",
-        "3.7", _recurrence_checker(inc.HOM_POLY_37, numbers=False),
-        lambda r: f"1 <= n <= {r.n_max_recur}, 0 <= s <= floor(n/2)")
-    add("eq3.8", "non-homogeneous recurrence of the incomplete Tribonacci-Lucas polynomials",
-        "3.8", _recurrence_checker(inc.NONHOM_POLY_38, numbers=False),
-        lambda r: f"1 <= n <= {r.n_max_recur}, 0 <= s <= floor(n/2)")
-    add("eq3.9", "homogeneous recurrence of the incomplete Tribonacci-Lucas numbers",
-        "3.9", _recurrence_checker(inc.HOM_NUM_39, numbers=True),
-        lambda r: f"1 <= n <= {r.n_max}, 0 <= s <= floor(n/2)")
-    add("eq3.10", "non-homogeneous recurrence of the incomplete Tribonacci-Lucas numbers",
-        "3.10", _recurrence_checker(inc.NONHOM_NUM_310, numbers=True),
-        lambda r: f"1 <= n <= {r.n_max}, 0 <= s <= floor(n/2)")
-    add("eq1.5", "non-homogeneous recurrence of the incomplete Tribonacci polynomials",
-        "1.5", _recurrence_checker(inc.TRI_NONHOM_15, numbers=False),
-        lambda r: f"1 <= n <= {r.n_max_recur}, 0 <= s <= floor((n-1)/2)")
-    add("prop3", "incomplete Tribonacci-Lucas polynomials from incomplete Tribonacci polynomials",
-        "Prop 3", _check_prop3,
-        lambda r: f"3 <= n <= {r.n_max_poly}, 1 <= s <= floor((n-1)/2)")
-    add("cor4", "the cross-family relation at x = 1",
-        "Cor 4", _check_cor4,
-        lambda r: f"3 <= n <= {r.n_max}, 1 <= s <= floor((n-1)/2)")
-    add("thm5", "partial sums of incomplete Tribonacci-Lucas numbers, with checked halving",
-        "3.11", _check_thm5,
-        lambda r: (f"1 <= n <= {min(r.n_max, RECUR_SWEEP_CAP)}, 1 <= h <= {r.h_max}, "
-                   "0 <= s <= floor(n/2)"))
-    add("prop6", "row sums of the incomplete polynomial table",
-        "3.12", _row_sum_checker(inc.POLYNOMIALS),
-        lambda r: f"1 <= n <= {r.n_max_poly}, polynomials")
-    add("cor8", "row sums of the incomplete number table",
-        "3.13", _row_sum_checker(inc.NUMBERS),
-        lambda r: f"1 <= n <= {r.n_max}, numbers")
-    add("binet-T", "Tribonacci closed form over the characteristic roots vs the recurrence",
-        "1.3 (with 1.1)", _binet_checker(SequenceFamily.TRIBONACCI_NUMBER, tribonacci_number),
-        lambda r: f"0 <= n <= {r.n_max}, relative tolerance 1e-6, {BINET_PRECISION}-bit floats",
-        agree=_within_binet_tol, render=_render_binet)
-    add("binet-K", "Tribonacci-Lucas closed form over the characteristic roots vs the recurrence",
-        "1.3 (with 1.2)", _binet_checker(SequenceFamily.TRIBONACCI_LUCAS_NUMBER,
-                                         tribonacci_lucas_number),
-        lambda r: f"0 <= n <= {r.n_max}, relative tolerance 1e-6, {BINET_PRECISION}-bit floats",
-        agree=_within_binet_tol, render=_render_binet)
-    add("poly-at-1", "polynomial families at x = 1 reduce to the number families",
-        "polynomial recurrences", _check_poly_at_1,
-        lambda r: f"0 <= n <= {r.n_max}, both families")
-    add("thm10-printed",
-        "incomplete-Tribonacci generating function with the printed z^2 numerator term",
-        "Thm 10 (printed)",
-        _gf_checker(inc.IncompleteFamily.INC_TRIBONACCI, gf.GFVariant.AS_PRINTED, 0),
-        lambda r: _gf_domain(r, 0), expects_failures=True,
-        extra_notes=("faithful reproduction of the printed form; its z^2 term "
-                     "T_2s(x) - 2x^(s+1) first mismatches direct values at the "
-                     "z^2 slot of the unshifted factor (power 2s+3)"))
-    add("thm10-corrected",
-        "incomplete-Tribonacci generating function with the corrected z^2 numerator term",
-        "Thm 10 (corrected)",
-        _gf_checker(inc.IncompleteFamily.INC_TRIBONACCI, gf.GFVariant.CORRECTED, 0),
-        lambda r: _gf_domain(r, 0),
-        extra_notes="corrected z^2 term is T_2s(x); derived from the comparator")
-    add("cor11", "incomplete-Tribonacci number generating function (corrected, x = 1)",
-        "Cor 11",
-        _gf_checker(inc.IncompleteFamily.INC_TRIBONACCI, gf.GFVariant.CORRECTED, 0,
-                    x_modes=lambda r: [Fraction(1)]),
-        lambda r: f"0 <= s <= {r.s_max}, order {r.order}, x = 1")
-    add("thm12", "incomplete Tribonacci-Lucas generating function from two Tribonacci ones",
-        "Thm 12",
-        _gf_checker(inc.IncompleteFamily.INC_TRIBONACCI_LUCAS, gf.GFVariant.CORRECTED, 1),
-        lambda r: _gf_domain(r, 1),
-        extra_notes=("stated for s > 1 but verified from s = 1 on; the assembled "
-                     "function restores the boundary term 2 T_(2s-2)(x) z^(2s) "
-                     "that the literal combination drops for s >= 2"))
-    add("cor13", "incomplete Tribonacci-Lucas number generating function (x = 1)",
-        "Cor 13",
-        _gf_checker(inc.IncompleteFamily.INC_TRIBONACCI_LUCAS, gf.GFVariant.CORRECTED, 1,
-                    x_modes=lambda r: [Fraction(1)]),
-        lambda r: f"1 <= s <= {r.s_max}, order {r.order}, x = 1")
-    add("eq1.6-shift",
-        "unshifted printed number generating function (off by the z^(2s+1) prefactor)",
-        "1.6", _check_eq16_shift,
-        lambda r: f"0 <= s <= {r.s_max}, order {r.order}, x = 1, no prefactor",
-        expects_failures=True,
-        extra_notes=("matches the shifted printed form only after multiplying by "
-                     "z^(2s+1); compared directly against the incomplete numbers "
-                     "it mismatches from the start"))
-    return e
+    def domain(self, rng: SweepRange) -> str:
+        clauses = []
+        for outer, axis in zip((None,) + self.axes, self.axes):
+            clause = axis.clause(rng)
+            if isinstance(axis, Span) and axis.high is UP_TO_N:   # 0 <= i <= n <= 30
+                clauses[-1] = f"{clause} <= {_text(outer.high, rng)}"
+            elif clause:
+                clauses.append(clause)
+        suffix = self.suffix(rng) if callable(self.suffix) else self.suffix
+        return ", ".join(clauses + [suffix] if suffix else clauses)
 
 
-def _gf_domain(r: SweepRange, s_min: int) -> str:
-    xs = ", ".join(str(x) for x in r.x_points)
-    sym = " and symbolic x" if r.include_symbolic else ""
-    return f"{s_min} <= s <= {r.s_max}, order {r.order}, x in {{{xs}}}{sym}"
+# -- sides and catalog --------------------------------------------------------
+
+_TRIB = inc.IncompleteFamily.INC_TRIBONACCI
+_TL = inc.IncompleteFamily.INC_TRIBONACCI_LUCAS
+_BINET_NOTE = f"relative tolerance 1e-6, {BINET_PRECISION}-bit floats"
 
 
-_CATALOG: Dict[str, CatalogEntry] = {entry.id: entry for entry in _entries()}
+def _triangle(kind: str, n: int, i: int):
+    entry = triangle_entry_number if kind == "numbers" else triangle_entry_poly
+    return entry(n, i, CLOSED_FORM), entry(n, i, RECURRENCE)
+
+
+def _boundary(which: str):
+    return lambda n, s: (inc.boundary_form(n, which), inc.incomplete_tl_poly(n, s))
+
+
+def _recurrence(variant: str):
+    return lambda n, s: inc.recurrence_step(n, s, variant)
+
+
+def _cor4(n: int, s: int):
+    # T_{n+1}(s) + T_{n-1}(s-1) + 2 T_{n-2}(s-1) from the Tribonacci double
+    # sum, against K_n(s) from the number triangle
+    lhs = (inc.incomplete_tribonacci_number(n + 1, s)
+           + inc.incomplete_tribonacci_number(n - 1, s - 1)
+           + 2 * inc.incomplete_tribonacci_number(n - 2, s - 1))
+    return lhs, inc.incomplete_tl_number(n, s)
+
+
+def _at_one(family: str, n: int):
+    if family == "tribonacci":
+        return tribonacci_poly(n).evaluate(1), tribonacci_number(n)
+    return tribonacci_lucas_poly(n).evaluate(1), tribonacci_lucas_number(n)
+
+
+def _q_series(variant: gf.GFVariant):
+    # the direct values are memoised per (family, s, x, order), shared by the family's ids
+    return lambda s, x, order: (gf.series_expand(gf.q_gf(s, variant, x), order).coeffs,
+                                gf.direct_series(_TRIB, s, x, order))
+
+
+def _w_series(s: int, x: Optional[Fraction], order: int):
+    return gf.series_expand(gf.w_gf(s, x), order).coeffs, gf.direct_series(_TL, s, x, order)
+
+
+_CATALOG: Dict[str, CatalogEntry] = {entry.id: entry for entry in (
+    CatalogEntry("eq2.2", "Tribonacci-Lucas numbers as the rising-diagonal double binomial sum",
+                 "2.2", (Span("n", 1, N_MAX),), lambda n: (
+                     binomial_diagonal_sum(TriangleKind.NUMBERS, n), tribonacci_lucas_number(n))),
+    CatalogEntry("eq2.4", "Tribonacci-Lucas polynomials as the rising-diagonal double binomial "
+                 "sum", "2.4", (Span("n", 1, N_POLY),), lambda n: (
+                     binomial_diagonal_sum(TriangleKind.POLYNOMIALS, n), tribonacci_lucas_poly(n))),
+    CatalogEntry("closed-vs-recurrence-triangle",
+                 "triangle entries: closed binomial forms equal the table recurrences, both kinds",
+                 "2.1 / 2.3 + closed forms",
+                 (Choice("kind", ("numbers", "polynomials")),
+                  Span("n", 0, lambda rng: min(rng.n_max, TRIANGLE_SWEEP_CAP)),
+                  Span("i", 0, UP_TO_N)), _triangle, suffix="both kinds"),
+    CatalogEntry("def1-methods", "incomplete Tribonacci-Lucas polynomials: triangle partial sums "
+                 "equal the truncated double sum", "3.1",
+                 (Span("n", 0, N_POLY), Span("s", 0, HALF_N)),
+                 lambda n, s: (inc.incomplete_tl_poly(n, s),
+                               inc.incomplete_tl_poly(n, s, inc.BINOMIAL_SUM))),
+    CatalogEntry("eq3.3", "level-0 incomplete Tribonacci-Lucas polynomial is x^(2n)",
+                 "3.3", (Span("n", 1, N_POLY), Span("s", 0, 0)), _boundary(inc.EQ33)),
+    CatalogEntry("eq3.4", "level-1 incomplete Tribonacci-Lucas polynomial closed form",
+                 "3.4", (Span("n", 3, N_POLY), Span("s", 1, 1)), _boundary(inc.EQ34)),
+    CatalogEntry("eq3.5", "maximum truncation level recovers the complete polynomial",
+                 "3.5", (Span("n", 1, N_POLY), Span("s", HALF_N, HALF_N)), _boundary(inc.EQ35)),
+    CatalogEntry("eq3.6", "second-to-maximum level: complete polynomial minus the top diagonal "
+                 "entry", "3.6", (Span("n", 2, N_POLY), Span("s", HALF_N_2, HALF_N_2)),
+                 _boundary(inc.EQ36)),
+    CatalogEntry("eq3.7", "homogeneous recurrence of the incomplete Tribonacci-Lucas polynomials",
+                 "3.7", (Span("n", 1, N_RECUR), Span("s", 0, HALF_N)),
+                 _recurrence(inc.HOM_POLY_37)),
+    CatalogEntry("eq3.8", "non-homogeneous recurrence of the incomplete Tribonacci-Lucas "
+                 "polynomials", "3.8", (Span("n", 1, N_RECUR), Span("s", 0, HALF_N)),
+                 _recurrence(inc.NONHOM_POLY_38)),
+    CatalogEntry("eq3.9", "homogeneous recurrence of the incomplete Tribonacci-Lucas numbers",
+                 "3.9", (Span("n", 1, N_MAX), Span("s", 0, HALF_N)), _recurrence(inc.HOM_NUM_39)),
+    CatalogEntry("eq3.10", "non-homogeneous recurrence of the incomplete Tribonacci-Lucas numbers",
+                 "3.10", (Span("n", 1, N_MAX), Span("s", 0, HALF_N)),
+                 _recurrence(inc.NONHOM_NUM_310)),
+    CatalogEntry("eq1.5", "non-homogeneous recurrence of the incomplete Tribonacci polynomials",
+                 "1.5", (Span("n", 1, N_RECUR), Span("s", 0, HALF_N_1)),
+                 _recurrence(inc.TRI_NONHOM_15)),
+    CatalogEntry("prop3", "incomplete Tribonacci-Lucas polynomials from incomplete Tribonacci "
+                 "polynomials", "Prop 3", (Span("n", 3, N_POLY), Span("s", 1, HALF_N_1)),
+                 lambda n, s: (inc.tl_relation_rhs(n, s), inc.incomplete_tl_poly(n, s))),
+    CatalogEntry("cor4", "the cross-family relation at x = 1",
+                 "Cor 4", (Span("n", 3, N_MAX), Span("s", 1, HALF_N_1)), _cor4),
+    CatalogEntry("thm5", "partial sums of incomplete Tribonacci-Lucas numbers, with checked "
+                 "halving", "3.11", (Span("n", 1, N_RECUR), Span("h", 1, H_MAX),
+                                     Span("s", 0, HALF_N)),
+                 lambda n, h, s: inc.partial_sum_lhs_rhs(n, h, s)),
+    CatalogEntry("prop6", "row sums of the incomplete polynomial table", "3.12",
+                 (Span("n", 1, N_POLY),), lambda n: inc.row_sum_lhs_rhs(n, inc.POLYNOMIALS),
+                 suffix="polynomials"),
+    CatalogEntry("cor8", "row sums of the incomplete number table", "3.13",
+                 (Span("n", 1, N_MAX),), lambda n: inc.row_sum_lhs_rhs(n, inc.NUMBERS),
+                 suffix="numbers"),
+    CatalogEntry("binet-T", "Tribonacci closed form over the characteristic roots vs the "
+                 "recurrence", "1.3 (with 1.1)", (Span("n", 0, N_MAX),),
+                 lambda n: (binet_estimate(n, SequenceFamily.TRIBONACCI_NUMBER, BINET_PRECISION),
+                            tribonacci_number(n)),
+                 suffix=_BINET_NOTE, agree=_within_binet_tol, render=_render_binet),
+    CatalogEntry("binet-K", "Tribonacci-Lucas closed form over the characteristic roots vs the "
+                 "recurrence", "1.3 (with 1.2)", (Span("n", 0, N_MAX),),
+                 lambda n: (binet_estimate(n, SequenceFamily.TRIBONACCI_LUCAS_NUMBER,
+                                           BINET_PRECISION), tribonacci_lucas_number(n)),
+                 suffix=_BINET_NOTE, agree=_within_binet_tol, render=_render_binet),
+    CatalogEntry("poly-at-1", "polynomial families at x = 1 reduce to the number families",
+                 "polynomial recurrences",
+                 (Choice("family", ("tribonacci", "tribonacci-lucas")), Span("n", 0, N_MAX)),
+                 _at_one, suffix="both families"),
+    CatalogEntry("thm10-printed", "incomplete-Tribonacci generating function with the printed z^2 "
+                 "numerator term", "Thm 10 (printed)", (Span("s", 0, S_MAX), X_MODES, POWERS),
+                 _q_series(gf.GFVariant.AS_PRINTED), suffix=_x_set, expects_failures=True,
+                 extra_notes=("faithful reproduction of the printed form; its z^2 term "
+                              "T_2s(x) - 2x^(s+1) first mismatches direct values at the "
+                              "z^2 slot of the unshifted factor (power 2s+3)")),
+    CatalogEntry("thm10-corrected", "incomplete-Tribonacci generating function with the "
+                 "corrected z^2 numerator term", "Thm 10 (corrected)",
+                 (Span("s", 0, S_MAX), X_MODES, POWERS), _q_series(gf.GFVariant.CORRECTED),
+                 suffix=_x_set,
+                 extra_notes="corrected z^2 term is T_2s(x); derived from the comparator"),
+    CatalogEntry("cor11", "incomplete-Tribonacci number generating function (corrected, x = 1)",
+                 "Cor 11", (Span("s", 0, S_MAX), X_ONE, POWERS),
+                 _q_series(gf.GFVariant.CORRECTED), suffix="x = 1"),
+    CatalogEntry("thm12", "incomplete Tribonacci-Lucas generating function from two Tribonacci "
+                 "ones", "Thm 12", (Span("s", 1, S_MAX), X_MODES, POWERS), _w_series,
+                 suffix=_x_set,
+                 extra_notes=("stated for s > 1 but verified from s = 1 on; the assembled "
+                              "function restores the boundary term 2 T_(2s-2)(x) z^(2s) "
+                              "that the literal combination drops for s >= 2")),
+    CatalogEntry("cor13", "incomplete Tribonacci-Lucas number generating function (x = 1)",
+                 "Cor 13", (Span("s", 1, S_MAX), X_ONE, POWERS), _w_series, suffix="x = 1"),
+    CatalogEntry("eq1.6-shift", "unshifted printed number generating function (off by the "
+                 "z^(2s+1) prefactor)", "1.6", (Span("s", 0, S_MAX), POWERS),
+                 lambda s, order: (gf.series_expand(gf.q_gf_numbers_unshifted(s), order).coeffs,
+                                   gf.direct_series(_TRIB, s, Fraction(1), order)),
+                 suffix="x = 1, no prefactor", expects_failures=True,
+                 extra_notes=("matches the shifted printed form only after multiplying by "
+                              "z^(2s+1); compared directly against the incomplete numbers "
+                              "it mismatches from the start")),
+)}
 
 
 def list_identities() -> List[Tuple[str, str, str]]:
@@ -438,38 +454,29 @@ def run_identity(identity_id: str, rng: Optional[SweepRange] = None) -> Identity
     """Exhaustively sweep one identity over its parameter lattice."""
     if identity_id not in _CATALOG:
         raise UnknownIdentityError(identity_id)
-    if rng is None:
-        rng = SweepRange()
+    rng = rng or SweepRange()
     entry = _CATALOG[identity_id]
     points = total_failures = 0
     examples: List[Failure] = []
-    for params, lhs, rhs in entry.runner(rng):
+    for point, lhs, rhs in entry.points(rng):
         points += 1
         if not entry.agree(lhs, rhs):
             total_failures += 1
             if len(examples) < MAX_COUNTEREXAMPLES:
-                examples.append(Failure(tuple((k, _render(v)) for k, v in params),
+                examples.append(Failure(entry.params(point),
                                         entry.render(lhs), entry.render(rhs)))
     notes = f"domain: {entry.domain(rng)}"
     if entry.extra_notes:
         notes += f"; {entry.extra_notes}"
-    if entry.expects_failures:
-        if total_failures:
-            status = EXPECTED_FAIL
-        else:
-            status = FAIL
-            notes += ("; UNEXPECTED: the reproduced form matched direct values, "
-                      "so the faithful reproduction is broken")
-    else:
+    if not entry.expects_failures:
         status = PASS if total_failures == 0 else FAIL
-    return IdentityReport(
-        id=identity_id,
-        points_checked=points,
-        failures=tuple(examples),
-        total_failures=total_failures,
-        status=status,
-        notes=notes,
-    )
+    elif total_failures:
+        status = EXPECTED_FAIL
+    else:
+        status = FAIL
+        notes += ("; UNEXPECTED: the reproduced form matched direct values, "
+                  "so the faithful reproduction is broken")
+    return IdentityReport(identity_id, points, tuple(examples), total_failures, status, notes)
 
 
 def run_all(rng: Optional[SweepRange] = None) -> List[IdentityReport]:

@@ -104,6 +104,9 @@ def test_seq_streams_the_per_index_values(capsys, fmt, family):
     (("gf", "inc-tribonacci", str(GF_S_MAX + 1), "7"), GF_S_MAX),
     (("gf", "inc-tribonacci", "1", str(10 ** 12)), GF_ORDER_MAX),
     (("gf", "inc-tl", "1", str(GF_ORDER_MAX + 1), "--x=-5/7"), GF_ORDER_MAX),
+    (("verify", "--x-points", "1,1"), "x_points must be distinct, got 1 twice"),
+    (("verify", "--x-points", "1,2/2", "--no-symbolic"),
+     "x_points must be distinct, got 1 twice"),
 ])
 def test_indices_past_the_bounds_exit_2_without_allocating(capsys, argv, bound):
     run(capsys, "seq", "tribonacci", "0", "3")   # imports and parser caches

@@ -415,8 +415,8 @@ def test_direct_series_is_shared_by_the_sweeps_of_one_family(symbolic_first):
     for identity_id in ("thm10-printed", "thm10-corrected", "eq1.6-shift"):
         run_identity(identity_id, rng)
     after = genfunc.direct_series.cache_info()
-    # two reads per thm10-* level (gf_vs_direct, then the runner), one per eq1.6 level
-    assert after.misses == built.misses and after.hits == built.hits + 2 * 8 + 4
+    # one read per level: 4 for each thm10-* id, 4 for eq1.6-shift
+    assert after.misses == built.misses and after.hits == built.hits + 8 + 4
     incomplete_tribonacci_poly.cache_clear()
     one = Fraction(1)
     for s in range(4):

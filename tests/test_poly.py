@@ -360,6 +360,10 @@ _X = IntPoly.x()
      "power's degree must be <= POLY_DEGREE_MAX = 65536, got 10000000000"),
     (lambda: (_X * _X + 1) ** (POLY_DEGREE_MAX // 2 + 1),
      "power's degree must be <= POLY_DEGREE_MAX = 65536, got 65538"),
+    (lambda: IntPoly.constant(2) ** 10 ** 10,
+     "exponent of a constant must be <= POLY_DEGREE_MAX = 65536, got 10000000000"),
+    (lambda: IntPoly.constant(-3) ** (POLY_DEGREE_MAX + 1),
+     "exponent of a constant must be <= POLY_DEGREE_MAX = 65536, got 65537"),
 ])
 def test_polynomial_builders_past_the_bound_raise_without_allocating(build, message):
     def run():
@@ -379,6 +383,8 @@ def test_polynomial_builders_reach_the_bound():
     assert IntPoly.zero().shifted(10 ** 10) == IntPoly.zero()
     assert IntPoly.zero() ** 10 ** 10 == IntPoly.zero()
     assert IntPoly.one() ** 10 ** 10 == IntPoly.one()
+    assert IntPoly.constant(-1) ** (10 ** 10 + 1) == IntPoly.constant(-1)
+    assert IntPoly.constant(2) ** POLY_DEGREE_MAX == IntPoly.constant(2 ** POLY_DEGREE_MAX)
 
 
 def test_poly_degree_bound_covers_the_library():

@@ -204,6 +204,13 @@ def test_sweep_range_validation():
         SweepRange(n_max=0)
     with pytest.raises(ValueError):
         SweepRange(order=0)
+    # a repeated x would be swept twice; no x mode at all leaves the gf ids
+    # an empty lattice, on which they would pass without checking anything
+    with pytest.raises(ValueError, match="got 1/2 twice"):
+        SweepRange(x_points=(Fraction(1, 2), 3, Fraction(2, 4)))
+    with pytest.raises(ValueError, match="must not be empty"):
+        SweepRange(x_points=(), include_symbolic=False)
+    assert SweepRange(x_points=()).x_modes() == [None]
 
 
 def test_sweep_range_derived_caps():
