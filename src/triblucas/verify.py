@@ -1,19 +1,16 @@
 """Identity catalog, exhaustive sweep runner, and the formula errata report.
 
 Every checkable identity of the Tribonacci-Lucas family treated by this
-library is registered once, keyed by a stable catalog id, as data: its
-lattice, ordered axes whose bounds are each written once; its ``sides``,
-one callable from a lattice point to (lhs, rhs); and a suffix for the part
-of its domain that is not a bound.  One walker enumerates every lattice,
-capped by a SweepRange, and compares the sides with exact arithmetic; the
-``domain:`` note of each report is rendered from the same axes.
-
-To add an identity, append a ``CatalogEntry`` with its axes outermost
-first (``Span`` or ``Choice``, then ``POWERS`` for a series) and sides
-taking the coordinates as keywords; under ``POWERS`` they also take
-``order`` and return two coefficient sequences, one expansion per outer
-point.  Sides call the library through this module's globals, which is
-what a tracer patches.
+library is one ``CatalogEntry``, keyed by a stable catalog id: the axes of
+its lattice, outermost first, with each bound written once (``Span`` and
+``Choice``, then ``POWERS`` for a series); ``sides``, which takes the
+coordinates in axis order and returns (lhs, rhs), or under ``POWERS`` also
+takes ``order`` and returns two coefficient sequences; and a suffix for
+the part of the domain that is not a bound.  To add an identity, append
+an entry whose sides call the library through this module's globals,
+which is what a tracer patches.  One walker enumerates every lattice,
+capped by a SweepRange, comparing the sides with exact arithmetic, and
+each report's ``domain:`` note is rendered from the same axes.
 
 Two ids are *expected* to fail: they faithfully reproduce closed forms
 whose printed statements disagree with direct enumeration (the z^2
@@ -165,11 +162,11 @@ def _within_binet_tol(estimate, value: int) -> bool:
 
 
 # -- lattices -----------------------------------------------------------------
-#
-# A bound is an int, a function of the SweepRange (a note prints its value)
-# or a Formula of the outer coordinates (a note prints its text).
 
 class Formula(NamedTuple):
+    """A bound computed from the outer coordinates, printed as ``text``.  The
+    other bounds, ints and functions of the SweepRange, print their value."""
+
     text: str
     of: Callable[[dict], int]
 
@@ -209,18 +206,8 @@ class Choice(NamedTuple):
     def values(self, rng: SweepRange, point: dict) -> Sequence:
         return self.options if isinstance(self.options, tuple) else self.options(rng)
 
-    def clause(self, rng: SweepRange) -> str:
-        return ""
 
-
-class _Powers(NamedTuple):
-    name: str
-
-    def clause(self, rng: SweepRange) -> str:
-        return f"order {rng.order}"
-
-
-POWERS = _Powers("power")   # innermost: every power below the order
+POWERS = Choice("power", ())   # innermost: every power below the order
 N_MAX = operator.attrgetter("n_max")
 N_POLY = operator.attrgetter("n_max_poly")
 N_RECUR = operator.attrgetter("n_max_recur")
@@ -255,7 +242,7 @@ class CatalogEntry:
     id: str
     description: str
     formula_key: str
-    axes: Tuple[Union[Span, Choice, _Powers], ...]
+    axes: Tuple[Union[Span, Choice], ...]
     sides: Callable[..., Tuple[object, object]]
     suffix: Union[str, Callable[[SweepRange], str]] = ""
     expects_failures: bool = False
@@ -268,30 +255,27 @@ class CatalogEntry:
         *outer, inner = self.axes
         sides = self.sides
         for point in _walk(outer, rng, {}):
+            args = [point[axis.name] for axis in outer]
             if inner is POWERS:
-                series = sides(order=rng.order, **point)
-                for power, (lhs, rhs) in enumerate(zip(*series)):
+                for power, (lhs, rhs) in enumerate(zip(*sides(*args, rng.order))):
                     point["power"] = power
                     yield point, lhs, rhs
-                del point["power"]   # not a keyword of the next sides call
             else:
+                args.append(None)
                 for value in inner.values(rng, point):
-                    point[inner.name] = value
-                    lhs, rhs = sides(**point)
+                    args[-1] = point[inner.name] = value
+                    lhs, rhs = sides(*args)
                     yield point, lhs, rhs
-
-    def params(self, point: dict) -> Tuple[Tuple[str, str], ...]:
-        return tuple((name, "symbolic" if value is None else _render(value))
-                     for name, value in point.items())
 
     def domain(self, rng: SweepRange) -> str:
         clauses = []
         for outer, axis in zip((None,) + self.axes, self.axes):
-            clause = axis.clause(rng)
-            if isinstance(axis, Span) and axis.high is UP_TO_N:   # 0 <= i <= n <= 30
-                clauses[-1] = f"{clause} <= {_text(outer.high, rng)}"
-            elif clause:
-                clauses.append(clause)
+            if axis is POWERS:
+                clauses.append(f"order {rng.order}")
+            elif isinstance(axis, Span) and axis.high is UP_TO_N:   # 0 <= i <= n <= 30
+                clauses[-1] = f"{axis.clause(rng)} <= {_text(outer.high, rng)}"
+            elif isinstance(axis, Span):
+                clauses.append(axis.clause(rng))
         suffix = self.suffix(rng) if callable(self.suffix) else self.suffix
         return ", ".join(clauses + [suffix] if suffix else clauses)
 
@@ -346,8 +330,9 @@ _CATALOG: Dict[str, CatalogEntry] = {entry.id: entry for entry in (
                  "2.2", (Span("n", 1, N_MAX),), lambda n: (
                      binomial_diagonal_sum(TriangleKind.NUMBERS, n), tribonacci_lucas_number(n))),
     CatalogEntry("eq2.4", "Tribonacci-Lucas polynomials as the rising-diagonal double binomial "
-                 "sum", "2.4", (Span("n", 1, N_POLY),), lambda n: (
-                     binomial_diagonal_sum(TriangleKind.POLYNOMIALS, n), tribonacci_lucas_poly(n))),
+                 "sum", "2.4", (Span("n", 1, N_POLY),),
+                 lambda n: (binomial_diagonal_sum(TriangleKind.POLYNOMIALS, n),
+                            tribonacci_lucas_poly(n))),
     CatalogEntry("closed-vs-recurrence-triangle",
                  "triangle entries: closed binomial forms equal the table recurrences, both kinds",
                  "2.1 / 2.3 + closed forms",
@@ -463,8 +448,9 @@ def run_identity(identity_id: str, rng: Optional[SweepRange] = None) -> Identity
         if not entry.agree(lhs, rhs):
             total_failures += 1
             if len(examples) < MAX_COUNTEREXAMPLES:
-                examples.append(Failure(entry.params(point),
-                                        entry.render(lhs), entry.render(rhs)))
+                params = tuple((k, "symbolic" if v is None else _render(v))
+                               for k, v in point.items())
+                examples.append(Failure(params, entry.render(lhs), entry.render(rhs)))
     notes = f"domain: {entry.domain(rng)}"
     if entry.extra_notes:
         notes += f"; {entry.extra_notes}"
