@@ -222,7 +222,7 @@ X_ONE = Choice("x", (Fraction(1),))
 
 
 def _x_set(rng: SweepRange) -> str:
-    xs = ", ".join(str(x) for x in rng.x_points)
+    xs = ", ".join(str(x) for x in rng.x_modes() if x is not None)
     return f"x in {{{xs}}}" + (" and symbolic x" if rng.include_symbolic else "")
 
 

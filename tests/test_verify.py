@@ -213,6 +213,14 @@ def test_sweep_range_validation():
     assert SweepRange(x_points=()).x_modes() == [None]
 
 
+def test_domain_note_names_the_x_values_swept():
+    # the sweep reads x_points as Fractions, and the note prints what it sweeps
+    rng = SweepRange(s_max=1, order=4, x_points=(0.25, "3/6", 2), include_symbolic=False)
+    report = run_identity("thm10-corrected", rng)
+    assert report.notes.startswith("domain: 0 <= s <= 1, order 4, x in {1/4, 1/2, 2};")
+    assert report.points_checked == 2 * 3 * 4
+
+
 def test_sweep_range_derived_caps():
     assert SweepRange().n_max_poly == 24
     assert SweepRange().n_max_recur == 20
