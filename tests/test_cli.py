@@ -179,6 +179,19 @@ def test_tables_match_goldens(capsys, which):
     assert out == (GOLDEN / f"table{which}.txt").read_text()
 
 
+@pytest.mark.parametrize("which, digest", [
+    (1, "04943e7e96fdeac8532bd3ef99ffe473d150c9d53dce1f8ef0bd8a025ed64c58"),
+    (2, "3d90c2277eec43aae68e9436317f7abdfa5de5af505d9951f9a3d31a6729d901"),
+    (3, "85357a551f56346e1ab8cdb55d37b9f98f57bfa236c65e8f2052f03ede1767c8"),
+    (4, "3198f24ee843a7e6916b32dba6a8253d5ddaa3d9c439707f335362b716629bf4"),
+])
+def test_table_json_bytes_are_pinned(capsys, which, digest):
+    # The goldens hold 6 rows; 30 rows reach the columns that row 6 never has.
+    code, out, _ = run(capsys, "table", str(which), "--rows", "30", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_table_subset_rows(capsys):
     code, out, _ = run(capsys, "table", "3", "--rows", "4")
     lines = out.splitlines()
