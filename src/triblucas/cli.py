@@ -146,8 +146,8 @@ def _table_rows(which: int, rows: int):
         table = triangle_rows(TriangleKind.POLYNOMIALS, rows)
         return "n\\i", 0, [[poly_format(c) for c in row] for row in table.rows]
     if which == 3:
-        body = [[poly_format(incomplete.incomplete_tl_poly(n, s))
-                 for s in range(n // 2 + 1)] for n in range(1, rows + 1)]
+        body = [[poly_format(p) for p in incomplete.incomplete_tl_poly_row(n)]
+                for n in range(1, rows + 1)]
         return "n\\s", 1, body
     body = [[str(incomplete.incomplete_tl_number(n, s))
              for s in range(n // 2 + 1)] for n in range(1, rows + 1)]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain
 from math import comb
-from typing import Tuple
+from typing import Iterator, Tuple
 
 from .errors import DomainError, InternalConsistencyError
 from .poly import IntPoly
@@ -34,6 +34,7 @@ from .sequences import tribonacci_lucas_number, tribonacci_lucas_poly
 from .triangles import (
     _binomial_diagonal_terms,
     _poly_diagonal_sum,
+    _poly_diagonal_sums,
     triangle_entry_number,
     triangle_entry_poly,
     weighted_binomial_diagonal_sum,
@@ -152,6 +153,17 @@ def incomplete_tl_poly(n: int, s: int, method: str = TRIANGLE_SUM) -> IntPoly:
     if n == 0:
         return IntPoly.constant(3)
     return IntPoly.from_terms(_binomial_diagonal_terms(n, s))
+
+
+def incomplete_tl_poly_row(n: int) -> Iterator[IntPoly]:
+    """K_n^(0)(x), ..., K_n^(floor(n/2))(x): one row of the incomplete table.
+
+    Level s adds B(n-s, s)(x) to level s-1, so the row reads one triangle
+    entry per value.  Nothing is memoised: the row lives only as long as
+    its caller holds it.
+    """
+    check_domain(IncompleteFamily.INC_TRIBONACCI_LUCAS, n, 0)
+    return (IntPoly(total) for total in _poly_diagonal_sums(n, n // 2))
 
 
 @lru_cache(maxsize=None)
@@ -332,7 +344,7 @@ __all__ = [
     "IncompleteFamily", "IncompleteIndex", "max_level", "min_index",
     "is_valid", "check_domain",
     "incomplete_tribonacci_poly", "incomplete_tribonacci_number",
-    "incomplete_tl_poly", "incomplete_tl_number",
+    "incomplete_tl_poly", "incomplete_tl_poly_row", "incomplete_tl_number",
     "boundary_form", "EQ33", "EQ34", "EQ35", "EQ36",
     "tl_relation_rhs", "partial_sum_lhs_rhs", "row_sum_lhs_rhs",
     "recurrence_step", "RECURRENCE_VARIANTS",

@@ -13,19 +13,26 @@ with B(n, 0)(x) = x^(2n), B(n, n)(x) = 2 x^n and apex 3.  Each entry also
 has a closed binomial form (checked against the recurrence entry by entry),
 and rising-diagonal sums of either triangle rebuild the Tribonacci-Lucas
 numbers / polynomials.
+
+Both recurrences read only columns i and i-1, so each triangle is memoised
+as columns: column i holds B(i, i), B(i+1, i), ..., and grows to row n once
+column i-1 reaches row n-1.  Reading B(n, i) builds columns j = 0..i only,
+each down to row n-i+j, so no cell right of the rightmost column read is
+ever built.  ``triangle_rows`` assembles rows from the columns.
 """
 
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass
 from itertools import compress
 from math import comb
-from typing import List, Tuple, Union
+from typing import Callable, Iterator, List, Tuple, Union
 
 from .errors import DomainError, InternalConsistencyError
 from .poly import IntPoly, poly_format
-from .sequences import _GrowingCache, _shift_add
+from .sequences import _shift_add
 
 Entry = Union[int, IntPoly]
 
@@ -63,22 +70,73 @@ def exact_div(numerator: int, denominator: int) -> int:
     return q
 
 
-def _next_row(rows: List[Tuple[Entry, ...]], poly: bool) -> Tuple[Entry, ...]:
-    n = len(rows)
-    if n == 0:
-        return (IntPoly.constant(3),) if poly else (3,)
-    prev, prev2 = rows[-1], rows[-2] if n >= 2 else ()
-    inner: List[Entry] = []
-    for i in range(1, n):
-        a, b, c = prev[i], prev[i - 1], prev2[i - 1]
-        inner.append(_shift_add(a, b, c) if poly else a + b + c)
-    if poly:
-        return (IntPoly.monomial(1, 2 * n), *inner, IntPoly.monomial(2, n))
-    return (1, *inner, 2)
+class _Columns:
+    """One triangle held as growing columns: column i is B(i, i), B(i+1, i), ....
+
+    ``cell(c, k)`` is c·x^k (just ``c`` in the number triangle, which is the
+    polynomial one at x = 1) and ``step(a, b, c)`` is x^2·a + x·b + c.
+    Growth runs under a lock, so threads may share the memo; a cell already
+    built is read without it.
+    """
+
+    def __init__(self, cell: Callable[[int, int], Entry],
+                 step: Callable[[Entry, Entry, Entry], Entry]):
+        self._cell = cell
+        self._step = step
+        self._columns: List[List[Entry]] = []
+        self._lock = threading.Lock()
+
+    def _reaches(self, i: int, n: int) -> bool:
+        columns = self._columns
+        return i < len(columns) and n - i < len(columns[i])
+
+    def _extend(self, i: int, n: int) -> None:
+        # Grow column i to row n, with column i-1 already at row n-1.
+        columns = self._columns
+        while len(columns) <= i:
+            columns.append([])
+        column, cell = columns[i], self._cell
+        if i == 0:
+            while len(column) <= n:
+                row = len(column)
+                column.append(cell(1, 2 * row) if row else cell(3, 0))
+            return
+        if not column:
+            column.append(cell(2, i))
+        left = columns[i - 1]
+        while len(column) <= n - i:
+            # B(i+k, i) from B(i+k-1, i), B(i+k-1, i-1) and B(i+k-2, i-1)
+            k = len(column)
+            column.append(self._step(column[-1], left[k], left[k - 1]))
+
+    def get(self, n: int, i: int) -> Entry:
+        """B(n, i) for 0 <= i <= n."""
+        if not self._reaches(i, n):
+            with self._lock:
+                # Column j must reach row n-i+j.  A column at row m has its
+                # left neighbour at row m-1 or past it, so only the columns
+                # right of the nearest one that reaches its row must grow.
+                low = i
+                while low > 0 and not self._reaches(low - 1, n - i + low - 1):
+                    low -= 1
+                for j in range(low, i + 1):
+                    self._extend(j, n - i + j)
+        return self._columns[i][n - i]
+
+    def rows(self, count: int) -> Tuple[Tuple[Entry, ...], ...]:
+        """Rows 0..count-1, each assembled from the columns."""
+        with self._lock:
+            for i in range(count):
+                self._extend(i, count - 1)
+        columns = self._columns
+        return tuple(tuple(columns[i][n - i] for i in range(n + 1))
+                     for n in range(count))
 
 
-_NUMBER_ROWS = _GrowingCache([], lambda rows: _next_row(rows, poly=False))
-_POLY_ROWS = _GrowingCache([], lambda rows: _next_row(rows, poly=True))
+_COLUMNS = {
+    TriangleKind.NUMBERS: _Columns(lambda c, k: c, lambda a, b, c: a + b + c),
+    TriangleKind.POLYNOMIALS: _Columns(IntPoly.monomial, _shift_add),
+}
 
 
 def _check_cell(n: int, i: int) -> None:
@@ -102,7 +160,7 @@ def triangle_entry_number(n: int, i: int, method: str = RECURRENCE) -> int:
     """B(n, i), by the table recurrence or the closed binomial sum."""
     _check_cell(n, i)
     if method == RECURRENCE:
-        return _NUMBER_ROWS.get(n)[i]
+        return _COLUMNS[TriangleKind.NUMBERS].get(n, i)
     if method != CLOSED_FORM:
         raise DomainError(f"unknown method {method!r}")
     if n == 0:
@@ -114,7 +172,7 @@ def triangle_entry_poly(n: int, i: int, method: str = RECURRENCE) -> IntPoly:
     """B(n, i)(x), by the table recurrence or the closed binomial sum."""
     _check_cell(n, i)
     if method == RECURRENCE:
-        return _POLY_ROWS.get(n)[i]
+        return _COLUMNS[TriangleKind.POLYNOMIALS].get(n, i)
     if method != CLOSED_FORM:
         raise DomainError(f"unknown method {method!r}")
     if n == 0:
@@ -126,8 +184,7 @@ def triangle_rows(kind: TriangleKind, row_count: int) -> TriangleTable:
     """Rows 0..row_count-1 computed by recurrence."""
     if row_count < 1:
         raise DomainError(f"row_count must be >= 1, got {row_count}")
-    cache = _NUMBER_ROWS if kind is TriangleKind.NUMBERS else _POLY_ROWS
-    return TriangleTable(kind, tuple(cache.prefix(row_count)))
+    return TriangleTable(kind, _COLUMNS[kind].rows(row_count))
 
 
 def diagonal_sum(kind: TriangleKind, n: int) -> Entry:
@@ -142,15 +199,21 @@ def diagonal_sum(kind: TriangleKind, n: int) -> Entry:
     return _poly_diagonal_sum(n, n // 2)
 
 
-def _poly_diagonal_sum(n: int, top: int) -> IntPoly:
-    # Sum of the stored B(n-i, i)(x) for i = 0..top <= floor(n/2): their
-    # nonzero coefficients are added into one list of length 2n+1 (K_n has
-    # degree 2n), which becomes one IntPoly.
+def _poly_diagonal_sums(n: int, top: int) -> Iterator[List[int]]:
+    # Running sums of the stored B(n-i, i)(x) for i = 0..top <= floor(n/2),
+    # in one coefficient list of length 2n+1 (K_n has degree 2n): level i
+    # adds the nonzero coefficients of one entry, and the list, now holding
+    # K_n^(i)(x), is yielded and then updated in place by level i+1.
     total = [0] * (2 * n + 1)
     for i in range(top + 1):
         entry = triangle_entry_poly(n - i, i).coeffs
         for power in compress(range(len(entry)), entry):   # nonzero terms
             total[power] += entry[power]
+        yield total
+
+
+def _poly_diagonal_sum(n: int, top: int) -> IntPoly:
+    *_, total = _poly_diagonal_sums(n, top)
     return IntPoly(total)
 
 

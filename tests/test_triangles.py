@@ -1,5 +1,17 @@
-import pytest
+import os
+import random
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
+from pathlib import Path
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from triblucas import triangles
 from triblucas.errors import DomainError
 from triblucas.poly import IntPoly, poly_parse
 from triblucas.sequences import tribonacci_lucas_number, tribonacci_lucas_poly
@@ -133,3 +145,79 @@ def test_table_json_shape():
     assert payload["rows"] == [["3"], ["x^2", "2*x"], ["x^4", "3*x^3 + 3", "2*x^2"]]
     numbers = triangle_rows(TriangleKind.NUMBERS, 2).to_json_dict()
     assert numbers == {"kind": "numbers", "rows": [["3"], ["1", "2"]]}
+
+
+ROOT = Path(__file__).resolve().parent.parent
+KINDS = (TriangleKind.NUMBERS, TriangleKind.POLYNOMIALS)
+ENTRY = {TriangleKind.NUMBERS: triangle_entry_number,
+         TriangleKind.POLYNOMIALS: triangle_entry_poly}
+
+
+@lru_cache(maxsize=None)
+def _closed(kind, n, i):
+    return ENTRY[kind](n, i, CLOSED_FORM)
+
+
+def _fresh_columns():
+    """Patch in empty column memos for both kinds, built like the module's."""
+    fresh = {kind: triangles._Columns(memo._cell, memo._step)
+             for kind, memo in triangles._COLUMNS.items()}
+    return mock.patch.dict(triangles._COLUMNS, fresh)
+
+
+def test_deep_entry_builds_only_its_columns():
+    # At row 200 a full triangle holds 20,301 polynomial cells (about 65 MB);
+    # B(200, 4) needs columns 0..4 only, each down to row 196 + j.
+    code = ("import tracemalloc\n"
+            "from triblucas import triangles\n"
+            "tracemalloc.start()\n"
+            "triangles.triangle_entry_poly(200, 4)\n"
+            "peak = tracemalloc.get_traced_memory()[1]\n"
+            "columns = triangles._COLUMNS[triangles.TriangleKind.POLYNOMIALS]._columns\n"
+            "print(peak, [j + len(column) - 1 for j, column in enumerate(columns)])\n")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    peak, deepest = done.stdout.split(" ", 1)
+    assert int(peak) < 4 * 2 ** 20
+    assert deepest.strip() == "[196, 197, 198, 199, 200]"
+
+
+_READS = st.tuples(st.sampled_from(KINDS), st.integers(0, 40), st.integers(0, 40),
+                   st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_READS, min_size=1, max_size=12))
+def test_interleaved_reads_of_a_fresh_memo_equal_the_closed_form(reads):
+    # Each read is an entry B(n, i mod (n+1)) or, when the flag is set, rows
+    # 0..n; any order of them must grow the columns to the same cells.
+    with _fresh_columns():
+        for kind, n, i, whole_rows in reads:
+            if whole_rows:
+                table = triangle_rows(kind, n + 1)
+                assert table.kind is kind
+                assert [len(row) for row in table.rows] == list(range(1, n + 2))
+                for row_index, row in enumerate(table.rows):
+                    for column, entry in enumerate(row):
+                        assert entry == _closed(kind, row_index, column)
+            else:
+                i %= n + 1
+                assert ENTRY[kind](n, i) == _closed(kind, n, i)
+
+
+def test_concurrent_column_growth_matches_serial():
+    cells = [(kind, n, i) for kind in KINDS for n in range(61) for i in range(n + 1)]
+    with _fresh_columns():
+        serial = {cell: ENTRY[cell[0]](*cell[1:]) for cell in cells}
+    random.Random(0).shuffle(cells)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _fresh_columns(), ThreadPoolExecutor(max_workers=8) as pool:
+            concurrent = dict(zip(cells, pool.map(
+                lambda cell: ENTRY[cell[0]](*cell[1:]), cells)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert concurrent == serial
