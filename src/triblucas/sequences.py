@@ -64,12 +64,6 @@ class _GrowingCache:
             self._grow(n + 1)
         return self._values[n]
 
-    def prefix(self, count: int) -> List[V]:
-        """The first ``count`` values."""
-        if count > len(self._values):
-            self._grow(count)
-        return self._values[:count]
-
 
 def _number_step(v: List[int]) -> int:
     return v[-1] + v[-2] + v[-3]

@@ -110,17 +110,20 @@ class _Columns:
             column.append(self._step(column[-1], left[k], left[k - 1]))
 
     def get(self, n: int, i: int) -> Entry:
-        """B(n, i) for 0 <= i <= n."""
-        if not self._reaches(i, n):
-            with self._lock:
-                # Column j must reach row n-i+j.  A column at row m has its
-                # left neighbour at row m-1 or past it, so only the columns
-                # right of the nearest one that reaches its row must grow.
-                low = i
-                while low > 0 and not self._reaches(low - 1, n - i + low - 1):
-                    low -= 1
-                for j in range(low, i + 1):
-                    self._extend(j, n - i + j)
+        """B(n, i) for 0 <= i <= n; an IndexError means the cell is not built."""
+        try:
+            return self._columns[i][n - i]
+        except IndexError:
+            pass
+        with self._lock:
+            # Column j must reach row n-i+j.  A column at row m has its left
+            # neighbour at row m-1 or past it, so only the columns right of
+            # the nearest one that reaches its row must grow.
+            low = i
+            while low > 0 and not self._reaches(low - 1, n - i + low - 1):
+                low -= 1
+            for j in range(low, i + 1):
+                self._extend(j, n - i + j)
         return self._columns[i][n - i]
 
     def rows(self, count: int) -> Tuple[Tuple[Entry, ...], ...]:
@@ -133,10 +136,8 @@ class _Columns:
                      for n in range(count))
 
 
-_COLUMNS = {
-    TriangleKind.NUMBERS: _Columns(lambda c, k: c, lambda a, b, c: a + b + c),
-    TriangleKind.POLYNOMIALS: _Columns(IntPoly.monomial, _shift_add),
-}
+_NUMBER_COLUMNS = _Columns(lambda c, k: c, lambda a, b, c: a + b + c)
+_POLY_COLUMNS = _Columns(IntPoly.monomial, _shift_add)
 
 
 def _check_cell(n: int, i: int) -> None:
@@ -160,7 +161,7 @@ def triangle_entry_number(n: int, i: int, method: str = RECURRENCE) -> int:
     """B(n, i), by the table recurrence or the closed binomial sum."""
     _check_cell(n, i)
     if method == RECURRENCE:
-        return _COLUMNS[TriangleKind.NUMBERS].get(n, i)
+        return _NUMBER_COLUMNS.get(n, i)
     if method != CLOSED_FORM:
         raise DomainError(f"unknown method {method!r}")
     if n == 0:
@@ -172,7 +173,7 @@ def triangle_entry_poly(n: int, i: int, method: str = RECURRENCE) -> IntPoly:
     """B(n, i)(x), by the table recurrence or the closed binomial sum."""
     _check_cell(n, i)
     if method == RECURRENCE:
-        return _COLUMNS[TriangleKind.POLYNOMIALS].get(n, i)
+        return _POLY_COLUMNS.get(n, i)
     if method != CLOSED_FORM:
         raise DomainError(f"unknown method {method!r}")
     if n == 0:
@@ -184,7 +185,8 @@ def triangle_rows(kind: TriangleKind, row_count: int) -> TriangleTable:
     """Rows 0..row_count-1 computed by recurrence."""
     if row_count < 1:
         raise DomainError(f"row_count must be >= 1, got {row_count}")
-    return TriangleTable(kind, _COLUMNS[kind].rows(row_count))
+    columns = _NUMBER_COLUMNS if kind is TriangleKind.NUMBERS else _POLY_COLUMNS
+    return TriangleTable(kind, columns.rows(row_count))
 
 
 def diagonal_sum(kind: TriangleKind, n: int) -> Entry:

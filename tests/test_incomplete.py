@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from triblucas import triangles
 from triblucas.errors import DomainError
 from triblucas.incomplete import (
     EQ33,
@@ -22,6 +23,7 @@ from triblucas.incomplete import (
     boundary_form,
     incomplete_tl_number,
     incomplete_tl_poly,
+    incomplete_tl_poly_row,
     incomplete_tribonacci_number,
     incomplete_tribonacci_poly,
     partial_sum_lhs_rhs,
@@ -119,6 +121,23 @@ def test_incomplete_tl_methods_agree():
         for s in range(n // 2 + 1):
             assert (incomplete_tl_poly(n, s, TRIANGLE_SUM)
                     == incomplete_tl_poly(n, s, BINOMIAL_SUM)), (n, s)
+
+
+def test_incomplete_tl_poly_row_reads_one_entry_per_level(monkeypatch):
+    # Level s adds B(n-s, s)(x) to level s-1; the closed double sum is the
+    # independent reference.
+    reads = []
+    entry = triangles.triangle_entry_poly
+    monkeypatch.setattr(triangles, "triangle_entry_poly",
+                        lambda n, i: reads.append((n, i)) or entry(n, i))
+    for n in range(61):
+        reads.clear()
+        row = list(incomplete_tl_poly_row(n))
+        assert row == [incomplete_tl_poly(n, s, BINOMIAL_SUM)
+                       for s in range(n // 2 + 1)], n
+        assert reads == [(n - s, s) for s in range(n // 2 + 1)]
+    with pytest.raises(DomainError):
+        incomplete_tl_poly_row(-1)
 
 
 def test_incomplete_tribonacci_poly_matches_the_double_sum():

@@ -160,9 +160,9 @@ def _closed(kind, n, i):
 
 def _fresh_columns():
     """Patch in empty column memos for both kinds, built like the module's."""
-    fresh = {kind: triangles._Columns(memo._cell, memo._step)
-             for kind, memo in triangles._COLUMNS.items()}
-    return mock.patch.dict(triangles._COLUMNS, fresh)
+    memos = {name: getattr(triangles, name) for name in ("_NUMBER_COLUMNS", "_POLY_COLUMNS")}
+    return mock.patch.multiple(triangles, **{
+        name: triangles._Columns(memo._cell, memo._step) for name, memo in memos.items()})
 
 
 def test_deep_entry_builds_only_its_columns():
@@ -173,7 +173,7 @@ def test_deep_entry_builds_only_its_columns():
             "tracemalloc.start()\n"
             "triangles.triangle_entry_poly(200, 4)\n"
             "peak = tracemalloc.get_traced_memory()[1]\n"
-            "columns = triangles._COLUMNS[triangles.TriangleKind.POLYNOMIALS]._columns\n"
+            "columns = triangles._POLY_COLUMNS._columns\n"
             "print(peak, [j + len(column) - 1 for j, column in enumerate(columns)])\n")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -217,7 +217,7 @@ def test_concurrent_column_growth_matches_serial():
     try:
         with _fresh_columns(), ThreadPoolExecutor(max_workers=8) as pool:
             concurrent = dict(zip(cells, pool.map(
-                lambda cell: ENTRY[cell[0]](*cell[1:]), cells)))
+                lambda cell: ENTRY[cell[0]](*cell[1:]), cells, timeout=60)))
     finally:
         sys.setswitchinterval(interval)
     assert concurrent == serial
