@@ -110,7 +110,10 @@ class _Columns:
             column.append(self._step(column[-1], left[k], left[k - 1]))
 
     def get(self, n: int, i: int) -> Entry:
-        """B(n, i) for 0 <= i <= n; an IndexError means the cell is not built."""
+        """B(n, i); the caller has checked 0 <= i <= n.
+
+        So an IndexError in the lookup only means the cell is not built yet.
+        """
         try:
             return self._columns[i][n - i]
         except IndexError:
