@@ -433,20 +433,26 @@ def test_direct_series_is_shared_by_the_sweeps_of_one_family(symbolic_first):
     assert genfunc.direct_series.cache_info().misses == 2
 
 
-def test_symbolic_series_at_order_96_are_pinned():
-    # Q_s (both variants, s <= 12) and W_s (1 <= s <= 12) at the largest
-    # order the query-mix benchmark asks for, past the order-48 pins of the
-    # verify sweep.  Every pair carries its s + 2 denominator factors, so
-    # this covers the factor-by-factor division at high k.  The digest was
-    # taken from the kernel that divided by the expanded product.
+@pytest.mark.parametrize("order, s_max, expected", [
+    # the largest order the query-mix benchmark asks for, past the order-48
+    # pins of the verify sweep; taken from the kernel that divided by the
+    # expanded product
+    (96, 12, "07f05b99f5d23ec7b38af5d6f287fbf9678da47de845fee21919dc7a19d304ce"),
+    # the large verify range (--s-max 16 --order 128); taken from the
+    # factored kernel on ungraded x-lists
+    (128, 16, "a5b4051a6b7bc0596e93f36e164a2b21fcb6759e6326657d924e306aca919ddd"),
+], ids=["96", "128"])
+def test_symbolic_series_are_pinned(order, s_max, expected):
+    # Q_s (both variants, s <= s_max) and W_s (1 <= s <= s_max).  Every pair
+    # carries its s + 2 denominator factors, so this covers the
+    # factor-by-factor division at high k.
     digest = hashlib.sha256()
-    pairs = [(s, q_gf(s, variant)) for s in range(13) for variant in GFVariant]
-    pairs += [(s, w_gf(s)) for s in range(1, 13)]
+    pairs = [(s, q_gf(s, variant)) for s in range(s_max + 1) for variant in GFVariant]
+    pairs += [(s, w_gf(s)) for s in range(1, s_max + 1)]
     for s, gf in pairs:
         assert len(gf.factors) == s + 2
-        digest.update(json.dumps(series_expand(gf, 96).to_json_list()).encode())
-    assert digest.hexdigest() == (
-        "07f05b99f5d23ec7b38af5d6f287fbf9678da47de845fee21919dc7a19d304ce")
+        digest.update(json.dumps(series_expand(gf, order).to_json_list()).encode())
+    assert digest.hexdigest() == expected
 
 
 def test_mixed_int_and_intpoly_pair_expands_to_intpolys():
