@@ -250,14 +250,50 @@ def _ints(c) -> Tuple[int, ...]:
     return c.coeffs if isinstance(c, IntPoly) else IntPoly.constant(c).coeffs
 
 
-def _terms(den, sign: int = 1) -> list:
-    # (j, nonzero (power, sign * coefficient) terms of den_j), ascending in j
-    terms = []
-    for j in range(1, len(den)):
-        nonzero = [(e, sign * c) for e, c in enumerate(_ints(den[j])) if c]
-        if nonzero:
-            terms.append((j, nonzero))
-    return terms
+# The weight deg x + deg z of every term of 1 - x^2 z - x z^2 - z^3 and of
+# 1 - x^2 z is 0 mod 3, and every term of a Q_s or W_s numerator has one
+# weight mod 3, so two x-powers in three of each coefficient are zero.
+_GRADE = 3
+
+
+def _grading(num, factors) -> Tuple[int, int, int]:
+    # (g, t, r) such that every term x^e z^j of every factor has e = t j and
+    # every term x^a z^k of num has a = r + t k (mod g): g = _GRADE when some
+    # t and r fit (t = 2 for every Q_s and W_s pair), else (1, 0, 0).
+    # Only (k, a mod g) matters, so each coefficient is tested one residue
+    # class of x-powers at a time; a factor's unit term fits every t.
+    g = _GRADE
+    den_terms = set().union(*(_classes(den, g) for den in factors))
+    num_terms = _classes(num, g)
+    for t in range(g):
+        if all((e - t * j) % g == 0 for j, e in den_terms):
+            residues = {(a - t * k) % g for k, a in num_terms}
+            if len(residues) <= 1:
+                return g, t, min(residues, default=0)
+    return 1, 0, 0
+
+
+def _classes(zpoly, g: int) -> set:
+    # (k, a mod g) for every term x^a z^k of a z-polynomial
+    return {(k, a) for k, c in enumerate(zpoly) for a in range(g) if any(_ints(c)[a::g])}
+
+
+def _terms(den, sign: int, rho: list) -> list:
+    # For each residue of k mod g = len(rho): (j, nonzero (offset,
+    # sign * coefficient) terms of den_j), ascending in j.  A term x^e of
+    # den_j adds list k - j into list k at offset (rho_(k-j) + e - rho_k) / g,
+    # which the grading makes exact and >= 0.
+    g = len(rho)
+    tables = []
+    for phase in range(g):
+        terms = []
+        for j in range(1, len(den)):
+            back = rho[(phase - j) % g] - rho[phase]
+            nonzero = [((e + back) // g, sign * c) for e, c in enumerate(_ints(den[j])) if c]
+            if nonzero:
+                terms.append((j, nonzero))
+        tables.append(terms)
+    return tables
 
 
 def _fold(acc: list, terms, src, r: int) -> list:
@@ -286,31 +322,46 @@ def _fold(acc: list, terms, src, r: int) -> list:
 
 
 def _grow_polys(num, factors, body: tuple, length: int) -> list:
+    # The list at position k holds only the coefficients of x^(rho_k + g b),
+    # rho_k = (r + t k) mod g (see _grading); every pass keeps that grading.
+    # Each distinct factor's term tables are built once.
+    distinct = list(dict.fromkeys(factors))
+    g, t, r = _grading(num, distinct)
+    rho = [(r + t * k) % g for k in range(g)]
     # Every list below that holds a pass's outputs ends at position
-    # start = len(body), so the one at index r holds position
-    # start - len(list) + r.  Rebuild, for the passes from the last back to
+    # start = len(body), so the one at index i holds position
+    # start - len(list) + i.  Rebuild, for the passes from the last back to
     # the first, each pass's outputs at the last len(f) - 1 positions; the
     # window of outputs read shrinks by len(f) - 1 per pass.
     start = len(body)
     need = sum(len(den) - 1 for den in factors)
-    window = [c.coeffs for c in body[max(0, start - need):]]
+    first = max(0, start - need)
+    window = [c.coeffs[rho[k % g]::g] for k, c in enumerate(body[first:], first)]
     tails = []
+    backs = {den: _terms(den, -1, rho) for den in distinct}
     for den in reversed(factors):
         need -= len(den) - 1
         tails.append(window[max(0, len(window) - (len(den) - 1)):])
-        back = _terms(den, -1)
-        window = [_fold(list(window[r]), back, window, r)
-                  for r in range(len(window) - min(start, need), len(window))]
-    # Then run every pass over the new positions only.  IntPolys are built
-    # once, from the last pass.
-    heads = [list(_ints(c)) for c in num[start:length]]
+        back, base = backs[den], start - len(window)
+        window = [_fold(list(window[i]), back[(base + i) % g], window, i)
+                  for i in range(len(window) - min(start, need), len(window))]
+    # Then run every pass over the new positions only.  IntPolys are spread
+    # out once, from the last pass.
+    heads = [list(_ints(c)[rho[k % g]::g]) for k, c in enumerate(num[start:length], start)]
+    tables = {den: _terms(den, 1, rho) for den in distinct}
     for den, out in zip(factors, reversed(tails)):
-        terms = _terms(den)
+        terms = tables[den]
         done = len(out)
-        for k in range(length - start):
-            out.append(_fold(heads[k] if k < len(heads) else [], terms, out, len(out)))
+        for i in range(length - start):
+            acc = heads[i] if i < len(heads) else []
+            out.append(_fold(acc, terms[(start + i) % g], out, len(out)))
         heads = out[done:]
-    return [IntPoly(coeffs) for coeffs in heads]
+    polys = []
+    for k, packed in enumerate(heads, start):
+        full = [0] * (g * len(packed))
+        full[rho[k % g]::g] = packed
+        polys.append(IntPoly(full))
+    return polys
 
 
 def _grow_scalars(num, den, body: tuple, length: int, fraction: bool) -> list:

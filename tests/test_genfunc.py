@@ -343,6 +343,13 @@ _X = IntPoly.x()
 _X2 = IntPoly.monomial(1, 2)
 # (1 - x^2 z)(1 + x^2 z^2), a factor with an int unit and an inner zero.
 _FACTORED = ([_X, 1], [1, -_X2, _X2, -_X2 * _X2], ((1, -_X2), (IntPoly.one(), 0, _X2)))
+# Q_s-like pairs over 1 - x^2 z - x z^2 - z^3 and a second factor: graded
+# mod 3 with 1 - x^2 z, and not with 1 - (x^2 + x) z, whose x z term is
+# off the lattice.
+_TRIB_FACTOR = (1, -_X2, -_X, -1)
+_ON_LATTICE = ([_X, 1, _X2], _zmul(_TRIB_FACTOR, (1, -_X2)), (_TRIB_FACTOR, (1, -_X2)))
+_OFF_LATTICE = ([_X, 1, _X2], _zmul(_TRIB_FACTOR, (1, -_X2 - _X)),
+                (_TRIB_FACTOR, (1, -_X2 - _X)))
 
 
 @settings(max_examples=250)
@@ -367,6 +374,19 @@ def test_expansion_kernels_match_the_generic_loop(pair, shift, order):
         plain = series_expand(RationalGF(gf.numerator, gf.denominator, shift), order)
         assert plain.coeffs == got
         assert [type(c) for c in plain.coeffs] == [type(c) for c in got]
+
+
+def test_grading_is_detected_from_the_pair_terms():
+    # Every Q_s and W_s pair runs on x-lists graded mod 3 with t = 2.
+    pairs = [q_gf(s, variant) for s in range(17) for variant in GFVariant]
+    pairs += [w_gf(s) for s in range(1, 17)]
+    for gf in pairs:
+        assert genfunc._grading(gf.numerator, gf.factors)[:2] == (3, 2)
+    assert genfunc._grading(*_ON_LATTICE[::2]) == (3, 2, 1)
+    # The x term of num_1, or the x z term of a factor, is off the lattice.
+    off = [([1, _X2 + _X, 5 * _X], ((1, -_X2, -_X, -1),)), _OFF_LATTICE[::2]]
+    for num, factors in off:
+        assert genfunc._grading(num, factors) == (1, 0, 0)
 
 
 def test_factors_must_have_unit_terms_and_multiply_to_the_denominator():
@@ -483,6 +503,9 @@ def test_expansion_memo_keeps_coefficient_types(int_first):
 # Resuming a factored pair past its first len(f) - 1 positions, and short of them.
 @example(_FACTORED, 0, [5, 24])
 @example(_FACTORED, 1, [2, 3, 24, 1])
+# Resuming on x-lists graded mod 3 and, one factor term off, ungraded.
+@example(_ON_LATTICE, 2, [7, 3, 20, 24])
+@example(_OFF_LATTICE, 2, [7, 3, 20, 24])
 def test_expansion_resumes_from_the_memoised_body(pair, shift, orders):
     # Each order is served from, or continues, the longest body so far.
     genfunc._expansions.clear()
