@@ -16,6 +16,10 @@ Expansion keeps one body per pair, the longest computed so far: a shorter
 order is a prefix of it, and a longer one resumes the division from its last
 coefficients.  Every term of the Q_s and W_s factors has coefficient -1, so
 the symbolic division adds shifted coefficient lists without multiplying.
+Those lists are graded: every term x^a z^k of a Q_s or W_s pair has
+a + k in one class mod 3 (the factors' terms have weight 0 mod 3), so the
+list for z^k holds only the x-powers a = r + 2k (mod 3), a third of them.
+A pair whose terms do not fit runs the same loop on full lists.
 
 The incomplete-Tribonacci generating function is
 
@@ -202,6 +206,12 @@ def series_expand(gf: RationalGF, order: int) -> PowerSeries:
       carry the factors 1 - x^2 z - x z^2 - z^3 and s+1 times 1 - x^2 z,
       whose coefficients are single monomials in x with coefficient -1, so
       each of their terms adds a shifted list instead of multiplying it.
+      The lists are graded mod g = 3 when every factor term x^e z^j has
+      e = t j and every numerator term x^a z^k has a = r + t k (mod 3), as
+      in every Q_s and W_s pair (t = 2): the list for z^k then holds only
+      the coefficients of x^(rho_k + 3b), rho_k = (r + t k) mod 3, and a
+      factor term x^e z^j adds list k - j at offset
+      (rho_(k-j) + e - rho_k) / 3.  Any other pair runs with g = 1.
       To resume, each pass's last len(f) - 1 outputs are rebuilt from the
       body by multiplying it back by the later factors (p_(i-1) = f_i p_i);
     - an ``int``/``Fraction`` pair runs
