@@ -56,7 +56,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, gcd, lcm
 from operator import add, sub
 from typing import Optional, Tuple, Union
@@ -69,7 +69,7 @@ from .incomplete import (
     is_valid,
 )
 from .poly import IntPoly, poly_format
-from .sequences import tribonacci_poly
+from .sequences import _GrowingCache, tribonacci_poly
 
 Coeff = Union[int, Fraction, IntPoly]
 XMode = Optional[Fraction]  # None means symbolic x
@@ -195,8 +195,9 @@ def series_expand(gf: RationalGF, order: int) -> PowerSeries:
     keeps one memoised body, the longest expanded so far: an order at or
     below its length is served as a slice of it, and a longer one continues
     the division from its last coefficients instead of from z^0.  The body
-    is replaced by a longer tuple, never grown in place.  Both kernels
-    accumulate in ``int``:
+    is a ``sequences._GrowingCache``: it grows in place under its own lock,
+    so threads that grow one pair at once compute it once, and it never
+    gets shorter.  Both kernels accumulate in ``int``:
 
     - a pair with ``IntPoly`` coefficients (``int`` ones are promoted)
       divides by each of its ``factors`` in turn, or by the denominator when
@@ -228,14 +229,16 @@ def series_expand(gf: RationalGF, order: int) -> PowerSeries:
         raise DomainError(f"order must be nonnegative, got {order}")
     kind = _coeff_kind(gf)
     length = max(0, order - gf.shift)
-    body = _expansions.get((gf, kind), ())
-    if len(body) < length:
+    body = _expansions.get((gf, kind))
+    if body is None:
         if kind is IntPoly:
-            new = _grow_polys(gf.numerator, gf.factors or (gf.denominator,), body, length)
+            grow = partial(_grow_polys, gf.numerator, gf.factors or (gf.denominator,))
         else:
-            new = _grow_scalars(gf.numerator, gf.denominator, body, length, kind is Fraction)
-        body = _expansions[(gf, kind)] = body + tuple(new)
-    return PowerSeries((_ZERO_OF[kind],) * min(gf.shift, order) + body[:length])
+            grow = partial(_grow_scalars, gf.numerator, gf.denominator,
+                           fraction=kind is Fraction)
+        body = _expansions.setdefault((gf, kind), _GrowingCache([], grow))
+    coeffs = body.grow(length)[:length]
+    return PowerSeries((_ZERO_OF[kind],) * min(gf.shift, order) + tuple(coeffs))
 
 
 def _coeff_kind(gf: RationalGF) -> type:
@@ -251,8 +254,8 @@ def _coeff_kind(gf: RationalGF) -> type:
 
 _ZERO_OF = {IntPoly: IntPoly.zero(), Fraction: Fraction(0), int: 0}
 
-# (pair, coefficient kind) -> the longest body expanded so far, without the
-# z^shift zeros; entries are only ever replaced by longer tuples.
+# (pair, coefficient kind) -> the memo of its body, the longest expanded so
+# far, without the z^shift zeros.
 _expansions: dict = {}
 
 
@@ -331,10 +334,11 @@ def _fold(acc: list, terms, src, r: int) -> list:
     return acc
 
 
-def _grow_polys(num, factors, body: tuple, length: int) -> list:
-    # The list at position k holds only the coefficients of x^(rho_k + g b),
-    # rho_k = (r + t k) mod g (see _grading); every pass keeps that grading.
-    # Each distinct factor's term tables are built once.
+def _grow_polys(num, factors, body: list, length: int) -> None:
+    # Appends positions len(body)..length-1 to body.  The list at position k
+    # holds only the coefficients of x^(rho_k + g b), rho_k = (r + t k) mod g
+    # (see _grading); every pass keeps that grading.  Each distinct factor's
+    # term tables are built once.
     distinct = list(dict.fromkeys(factors))
     g, t, r = _grading(num, distinct)
     rho = [(r + t * k) % g for k in range(g)]
@@ -366,19 +370,18 @@ def _grow_polys(num, factors, body: tuple, length: int) -> list:
             acc = heads[i] if i < len(heads) else []
             out.append(_fold(acc, terms[(start + i) % g], out, len(out)))
         heads = out[done:]
-    polys = []
     for k, packed in enumerate(heads, start):
         full = [0] * (g * len(packed))
         full[rho[k % g]::g] = packed
-        polys.append(IntPoly(full))
-    return polys
+        body.append(IntPoly(full))
 
 
-def _grow_scalars(num, den, body: tuple, length: int, fraction: bool) -> list:
-    # With P_k = c m^k p_k the recurrence runs on integers once every
-    # m^j den_j and c m^k num_k is one.  m takes from each den_j only the
-    # part of its denominator that m^j lacks, so denominators q^(2j), as at
-    # x = p/q, give m = q^2 and P_k stays near the size of p_k itself.
+def _grow_scalars(num, den, body: list, length: int, fraction: bool) -> None:
+    # Appends positions len(body)..length-1 to body.  With P_k = c m^k p_k the
+    # recurrence runs on integers once every m^j den_j and c m^k num_k is one.
+    # m takes from each den_j only the part of its denominator that m^j lacks,
+    # so denominators q^(2j), as at x = p/q, give m = q^2 and P_k stays near the
+    # size of p_k itself.
     m = 1
     for j in range(1, len(den)):
         e = den[j].denominator
@@ -395,7 +398,6 @@ def _grow_scalars(num, den, body: tuple, length: int, fraction: bool) -> list:
     first = max(0, start - (len(den) - 1))
     P = [a.numerator * (c * m ** k // a.denominator)
          for k, a in enumerate(body[first:], first)]
-    out = []
     scale = c * m ** start        # c m^k
     for k in range(start, length):
         acc = num[k].numerator * (scale // num[k].denominator) if k < len(num) else 0
@@ -405,9 +407,8 @@ def _grow_scalars(num, den, body: tuple, length: int, fraction: bool) -> list:
                 break
             acc -= t * P[r - j]
         P.append(acc)
-        out.append(Fraction(acc, scale) if fraction else acc)
+        body.append(Fraction(acc, scale) if fraction else acc)
         scale *= m
-    return out
 
 
 # -- generic non-homogeneous third-order clearing -----------------------------

@@ -44,25 +44,41 @@ class SequenceFamily(enum.Enum):
 
 
 class _GrowingCache:
-    """Append-only memo grown by ``step(values) -> next``, safe for concurrent use."""
+    """Append-only memo of one growing sequence, safe for concurrent use.
 
-    def __init__(self, initial: Sequence[V], step: Callable[[List[V]], V]):
+    ``extend(values, count)`` appends to the stored list in place, under the
+    memo's lock, until it holds ``count`` values: two threads that need one
+    value compute it once, and a stored value is read without the lock.  It
+    holds the four families, the triangle columns and the series bodies.
+    """
+
+    def __init__(self, initial: Sequence[V], extend: Callable[[List[V], int], None]):
         self._values: List[V] = list(initial)
-        self._step = step
+        self._extend = extend
         self._lock = threading.Lock()
 
-    def _grow(self, count: int) -> None:
-        with self._lock:
-            v = self._values
-            while len(v) < count:
-                v.append(self._step(v))
+    def grow(self, count: int) -> List[V]:
+        """The stored list, grown to at least ``count`` values."""
+        values = self._values
+        if len(values) < count:
+            with self._lock:
+                if len(values) < count:
+                    self._extend(values, count)
+        return values
 
     def get(self, n: int) -> V:
         if n < 0:
             raise DomainError(f"index must be nonnegative, got {n}")
-        if n >= len(self._values):
-            self._grow(n + 1)
-        return self._values[n]
+        values = self._values
+        return values[n] if n < len(values) else self.grow(n + 1)[n]
+
+
+def _by_step(step: Callable[[List[V]], V]) -> Callable[[List[V], int], None]:
+    """An ``extend`` that appends ``step(values)`` one value at a time."""
+    def extend(values: List[V], count: int) -> None:
+        while len(values) < count:
+            values.append(step(values))
+    return extend
 
 
 def _number_step(v: List[int]) -> int:
@@ -84,13 +100,13 @@ def _poly_step(v: List[IntPoly]) -> IntPoly:
     return _shift_add(v[-1], v[-2], v[-3])
 
 
-_T_NUMBERS = _GrowingCache([0, 1, 1], _number_step)
-_K_NUMBERS = _GrowingCache([3, 1, 3], _number_step)
+_T_NUMBERS = _GrowingCache([0, 1, 1], _by_step(_number_step))
+_K_NUMBERS = _GrowingCache([3, 1, 3], _by_step(_number_step))
 _T_POLYS = _GrowingCache(
-    [IntPoly.zero(), IntPoly.one(), IntPoly.monomial(1, 2)], _poly_step)
+    [IntPoly.zero(), IntPoly.one(), IntPoly.monomial(1, 2)], _by_step(_poly_step))
 _K_POLYS = _GrowingCache(
     [IntPoly.constant(3), IntPoly.monomial(1, 2), IntPoly((0, 2, 0, 0, 1))],
-    _poly_step)
+    _by_step(_poly_step))
 
 
 # Indices below the cap are served by the memos above; no memo holds more.

@@ -15,24 +15,25 @@ and rising-diagonal sums of either triangle rebuild the Tribonacci-Lucas
 numbers / polynomials.
 
 Both recurrences read only columns i and i-1, so each triangle is memoised
-as columns: column i holds B(i, i), B(i+1, i), ..., and grows to row n once
-column i-1 reaches row n-1.  Reading B(n, i) builds columns j = 0..i only,
-each down to row n-i+j, so no cell right of the rightmost column read is
-ever built.  ``triangle_rows`` assembles rows from the columns.
+as columns: a ``sequences._GrowingCache`` of columns, each column itself a
+``_GrowingCache`` of B(i, i), B(i+1, i), ... whose step reads the column to
+its left.  Every memo grows under its own lock and is read without one.
+Reading B(n, i) grows columns j = 0..i from left to right, each down to row
+n-i+j, so no cell right of the rightmost column read is ever built and no
+growth recurses.  ``triangle_rows`` assembles rows from the columns.
 """
 
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass
 from itertools import compress
 from math import comb
-from typing import Callable, Iterator, List, Tuple, Union
+from typing import Iterator, List, Tuple, Union
 
 from .errors import DomainError, InternalConsistencyError
 from .poly import IntPoly, poly_format
-from .sequences import _shift_add
+from .sequences import _by_step, _GrowingCache, _shift_add
 
 Entry = Union[int, IntPoly]
 
@@ -70,77 +71,54 @@ def exact_div(numerator: int, denominator: int) -> int:
     return q
 
 
-class _Columns:
-    """One triangle held as growing columns: column i is B(i, i), B(i+1, i), ....
+def _triangle(kind: TriangleKind) -> _GrowingCache:
+    """An empty memo of one triangle's columns, each grown only when read.
 
     ``cell(c, k)`` is c·x^k (just ``c`` in the number triangle, which is the
     polynomial one at x = 1) and ``step(a, b, c)`` is x^2·a + x·b + c.
-    Growth runs under a lock, so threads may share the memo; a cell already
-    built is read without it.
     """
+    if kind is TriangleKind.NUMBERS:
+        cell, step = (lambda c, k: c), (lambda a, b, c: a + b + c)
+    else:
+        cell, step = IntPoly.monomial, _shift_add
 
-    def __init__(self, cell: Callable[[int, int], Entry],
-                 step: Callable[[Entry, Entry, Entry], Entry]):
-        self._cell = cell
-        self._step = step
-        self._columns: List[List[Entry]] = []
-        self._lock = threading.Lock()
-
-    def _reaches(self, i: int, n: int) -> bool:
-        columns = self._columns
-        return i < len(columns) and n - i < len(columns[i])
-
-    def _extend(self, i: int, n: int) -> None:
-        # Grow column i to row n, with column i-1 already at row n-1.
-        columns = self._columns
-        while len(columns) <= i:
-            columns.append([])
-        column, cell = columns[i], self._cell
+    def new_column(columns: List[_GrowingCache]) -> _GrowingCache:
+        # Column i = len(columns): B(i+k, i) from B(i+k-1, i), B(i+k-1, i-1)
+        # and B(i+k-2, i-1); the reader grows the left column to row i+k-1
+        # first.  ``left`` is bound here, once per column.
+        i = len(columns)
         if i == 0:
-            while len(column) <= n:
-                row = len(column)
-                column.append(cell(1, 2 * row) if row else cell(3, 0))
-            return
-        if not column:
-            column.append(cell(2, i))
-        left = columns[i - 1]
-        while len(column) <= n - i:
-            # B(i+k, i) from B(i+k-1, i), B(i+k-1, i-1) and B(i+k-2, i-1)
-            k = len(column)
-            column.append(self._step(column[-1], left[k], left[k - 1]))
+            return _GrowingCache([cell(3, 0)], _by_step(lambda v: cell(1, 2 * len(v))))
+        left = columns[-1]._values
+        return _GrowingCache([cell(2, i)], _by_step(
+            lambda v: step(v[-1], left[len(v)], left[len(v) - 1])))
 
-    def get(self, n: int, i: int) -> Entry:
-        """B(n, i); the caller has checked 0 <= i <= n.
+    def add_columns(columns: List[_GrowingCache], count: int) -> None:
+        while len(columns) < count:
+            columns.append(new_column(columns))
 
-        So an IndexError in the lookup only means the cell is not built yet.
-        """
-        try:
-            return self._columns[i][n - i]
-        except IndexError:
-            pass
-        with self._lock:
-            # Column j must reach row n-i+j.  A column at row m has its left
-            # neighbour at row m-1 or past it, so only the columns right of
-            # the nearest one that reaches its row must grow.
-            low = i
-            while low > 0 and not self._reaches(low - 1, n - i + low - 1):
-                low -= 1
-            for j in range(low, i + 1):
-                self._extend(j, n - i + j)
-        return self._columns[i][n - i]
-
-    def rows(self, count: int) -> Tuple[Tuple[Entry, ...], ...]:
-        """Rows 0..count-1, each assembled from the columns."""
-        with self._lock:
-            for i in range(count):
-                self._extend(i, count - 1)
-        columns = self._columns
-        return tuple(tuple(columns[i][n - i] for i in range(n + 1))
-                     for n in range(count))
+    return _GrowingCache([], add_columns)
 
 
-_NUMBER_COLUMNS = _Columns(lambda c, k: c, lambda a, b, c: a + b + c)
-_POLY_COLUMNS = _Columns(IntPoly.monomial, _shift_add)
+def _cell(memo: _GrowingCache, n: int, i: int) -> Entry:
+    """B(n, i); the caller has checked 0 <= i <= n.
+
+    So an IndexError in the lookup only means the cell is not built yet.
+    Columns 0..i grow from left to right, column j to row n-i+j, so each
+    column's left neighbour is grown before the column reads it.
+    """
+    try:
+        return memo._values[i]._values[n - i]
+    except IndexError:
+        pass
+    columns = memo.grow(i + 1)
+    for j in range(i + 1):
+        columns[j].grow(n - i + 1)
+    return columns[i]._values[n - i]
+
+
+_NUMBER_COLUMNS = _triangle(TriangleKind.NUMBERS)
+_POLY_COLUMNS = _triangle(TriangleKind.POLYNOMIALS)
 
 
 def _check_cell(n: int, i: int) -> None:
@@ -164,7 +142,7 @@ def triangle_entry_number(n: int, i: int, method: str = RECURRENCE) -> int:
     """B(n, i), by the table recurrence or the closed binomial sum."""
     _check_cell(n, i)
     if method == RECURRENCE:
-        return _NUMBER_COLUMNS.get(n, i)
+        return _cell(_NUMBER_COLUMNS, n, i)
     if method != CLOSED_FORM:
         raise DomainError(f"unknown method {method!r}")
     if n == 0:
@@ -176,7 +154,7 @@ def triangle_entry_poly(n: int, i: int, method: str = RECURRENCE) -> IntPoly:
     """B(n, i)(x), by the table recurrence or the closed binomial sum."""
     _check_cell(n, i)
     if method == RECURRENCE:
-        return _POLY_COLUMNS.get(n, i)
+        return _cell(_POLY_COLUMNS, n, i)
     if method != CLOSED_FORM:
         raise DomainError(f"unknown method {method!r}")
     if n == 0:
@@ -188,8 +166,11 @@ def triangle_rows(kind: TriangleKind, row_count: int) -> TriangleTable:
     """Rows 0..row_count-1 computed by recurrence."""
     if row_count < 1:
         raise DomainError(f"row_count must be >= 1, got {row_count}")
-    columns = _NUMBER_COLUMNS if kind is TriangleKind.NUMBERS else _POLY_COLUMNS
-    return TriangleTable(kind, columns.rows(row_count))
+    memo = _NUMBER_COLUMNS if kind is TriangleKind.NUMBERS else _POLY_COLUMNS
+    columns = [column.grow(row_count - i)
+               for i, column in enumerate(memo.grow(row_count)[:row_count])]
+    return TriangleTable(kind, tuple(tuple(columns[i][n - i] for i in range(n + 1))
+                                     for n in range(row_count)))
 
 
 def diagonal_sum(kind: TriangleKind, n: int) -> Entry:

@@ -3,7 +3,9 @@ import json
 import random
 import sys
 import threading
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -540,15 +542,55 @@ def test_expansion_memo_keeps_one_body_per_pair():
     for order in (32, 96, 64):
         series_expand(gf, order)
     assert list(genfunc._expansions) == [(gf, IntPoly)]
-    body = genfunc._expansions[gf, IntPoly]
-    assert type(body) is tuple and len(body) == 96 - gf.shift
+    body = genfunc._expansions[gf, IntPoly]._values
+    assert len(body) == 96 - gf.shift
     assert all(type(c) is IntPoly for c in body)
-    assert series_expand(gf, 64).coeffs[gf.shift:] == body[:64 - gf.shift]
+    assert series_expand(gf, 64).coeffs[gf.shift:] == tuple(body[:64 - gf.shift])
+
+
+@pytest.mark.parametrize("first", [32, 96])
+def test_threads_growing_one_pair_run_the_kernel_once_per_extension(first):
+    # The first thread holds the body's lock inside a slowed kernel while the
+    # others ask the same pair for orders 96 and 32; they wait, then find the
+    # body long enough or extend it once.  The body only ever grows.
+    gf = w_gf(6)
+    genfunc._expansions.clear()
+    want = series_expand(gf, 96).coeffs
+    genfunc._expansions.clear()
+    kernel, calls, entered = genfunc._grow_polys, [], threading.Event()
+
+    def slow_kernel(num, factors, body, length):
+        calls.append((len(body), length))
+        entered.set()
+        time.sleep(0.2)
+        return kernel(num, factors, body, length)
+
+    results = []
+
+    def ask(order):
+        results.append((order, series_expand(gf, order).coeffs))
+
+    with mock.patch.object(genfunc, "_grow_polys", slow_kernel):
+        threads = [threading.Thread(target=ask, args=(first,))]
+        threads[0].start()
+        assert entered.wait(timeout=60)
+        threads += [threading.Thread(target=ask, args=(order,)) for order in (96, 32) * 3]
+        for thread in threads[1:]:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    low, high = 32 - gf.shift, 96 - gf.shift
+    assert calls == {32: [(0, low), (low, high)], 96: [(0, high)]}[first]
+    assert len(genfunc._expansions[gf, IntPoly]._values) == 96 - gf.shift
+    assert sorted(order for order, _ in results) == sorted([first] + [96, 32] * 3)
+    assert all(coeffs == want[:order] for order, coeffs in results)
 
 
 def test_threads_growing_one_memo_read_only_whole_bodies():
-    # Stored bodies are replaced, never grown in place, so a thread reading
-    # while another grows, or clears, the memo still gets a full prefix.
+    # A body grows in place under its lock and never gets shorter, so a
+    # thread reading while another grows, or clears, the memo still gets a
+    # full prefix.
     pairs = [q_gf(3), q_gf(7, GFVariant.AS_PRINTED), w_gf(4, Fraction(1, 2))]
     fresh = {}
     for gf in pairs:

@@ -160,9 +160,9 @@ def _closed(kind, n, i):
 
 def _fresh_columns():
     """Patch in empty column memos for both kinds, built like the module's."""
-    memos = {name: getattr(triangles, name) for name in ("_NUMBER_COLUMNS", "_POLY_COLUMNS")}
-    return mock.patch.multiple(triangles, **{
-        name: triangles._Columns(memo._cell, memo._step) for name, memo in memos.items()})
+    return mock.patch.multiple(
+        triangles, _NUMBER_COLUMNS=triangles._triangle(TriangleKind.NUMBERS),
+        _POLY_COLUMNS=triangles._triangle(TriangleKind.POLYNOMIALS))
 
 
 def test_deep_entry_builds_only_its_columns():
@@ -173,8 +173,8 @@ def test_deep_entry_builds_only_its_columns():
             "tracemalloc.start()\n"
             "triangles.triangle_entry_poly(200, 4)\n"
             "peak = tracemalloc.get_traced_memory()[1]\n"
-            "columns = triangles._POLY_COLUMNS._columns\n"
-            "print(peak, [j + len(column) - 1 for j, column in enumerate(columns)])\n")
+            "columns = triangles._POLY_COLUMNS._values\n"
+            "print(peak, [j + len(column._values) - 1 for j, column in enumerate(columns)])\n")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
@@ -182,6 +182,16 @@ def test_deep_entry_builds_only_its_columns():
     peak, deepest = done.stdout.split(" ", 1)
     assert int(peak) < 4 * 2 ** 20
     assert deepest.strip() == "[196, 197, 198, 199, 200]"
+
+
+
+def test_deep_cell_grows_its_columns_without_recursion():
+    # B(401, 400) needs 401 columns; each grows from the one to its left,
+    # which is grown first, so the default recursion limit is never neared.
+    with _fresh_columns():
+        assert triangle_entry_number(401, 400) == 1602
+        assert triangle_entry_number(401, 400, CLOSED_FORM) == 1602
+        assert triangle_entry_poly(401, 400) == triangle_entry_poly(401, 400, CLOSED_FORM)
 
 
 _READS = st.tuples(st.sampled_from(KINDS), st.integers(0, 40), st.integers(0, 40),
