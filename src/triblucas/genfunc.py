@@ -56,7 +56,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from math import comb, gcd, lcm
 from operator import add, sub
 from typing import Optional, Tuple, Union
@@ -68,8 +68,8 @@ from .incomplete import (
     incomplete_tribonacci_poly,
     is_valid,
 )
-from .poly import IntPoly, poly_format
-from .sequences import _GrowingCache, tribonacci_poly
+from .poly import IntPoly, _canonical, poly_format
+from .sequences import _GrowingCache, cached, register_memo, tribonacci_poly
 
 Coeff = Union[int, Fraction, IntPoly]
 XMode = Optional[Fraction]  # None means symbolic x
@@ -176,7 +176,7 @@ def _zmul(a: Tuple[Coeff, ...], b: Tuple[Coeff, ...], zero: Coeff) -> Tuple[Coef
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@cached
 def _factor_product(factors: Tuple[Tuple[Coeff, ...], ...]) -> Tuple[Coeff, ...]:
     # Memoised on the factors tuple, so the pairs that share one (Q_s in both
     # variants, W_s) multiply it out once for their construction check.
@@ -197,7 +197,11 @@ def series_expand(gf: RationalGF, order: int) -> PowerSeries:
     the division from its last coefficients instead of from z^0.  The body
     is a ``sequences._GrowingCache``: it grows in place under its own lock,
     so threads that grow one pair at once compute it once, and it never
-    gets shorter.  Both kernels accumulate in ``int``:
+    gets shorter.  The bodies sit in the dict ``genfunc.series_expand`` of
+    the memo registry ``sequences.MEMOS``, keyed by :func:`series_key`;
+    ``verify.run_all`` drops the bodies it created after the last id that
+    reads them, and a library session keeps them.  Both kernels accumulate
+    in ``int``:
 
     - a pair with ``IntPoly`` coefficients (``int`` ones are promoted)
       divides by each of its ``factors`` in turn, or by the denominator when
@@ -227,18 +231,24 @@ def series_expand(gf: RationalGF, order: int) -> PowerSeries:
     """
     if order < 0:
         raise DomainError(f"order must be nonnegative, got {order}")
-    kind = _coeff_kind(gf)
+    key = series_key(gf)
+    kind = key[1]
     length = max(0, order - gf.shift)
-    body = _expansions.get((gf, kind))
+    body = _expansions.get(key)
     if body is None:
         if kind is IntPoly:
             grow = partial(_grow_polys, gf.numerator, gf.factors or (gf.denominator,))
         else:
             grow = partial(_grow_scalars, gf.numerator, gf.denominator,
                            fraction=kind is Fraction)
-        body = _expansions.setdefault((gf, kind), _GrowingCache([], grow))
+        body = _expansions.setdefault(key, _GrowingCache([], grow))
     coeffs = body.grow(length)[:length]
     return PowerSeries((_ZERO_OF[kind],) * min(gf.shift, order) + tuple(coeffs))
+
+
+def series_key(gf: RationalGF) -> Tuple[RationalGF, type]:
+    """The key of ``gf``'s body in the ``genfunc.series_expand`` memo."""
+    return gf, _coeff_kind(gf)
 
 
 def _coeff_kind(gf: RationalGF) -> type:
@@ -256,7 +266,7 @@ _ZERO_OF = {IntPoly: IntPoly.zero(), Fraction: Fraction(0), int: 0}
 
 # (pair, coefficient kind) -> the memo of its body, the longest expanded so
 # far, without the z^shift zeros.
-_expansions: dict = {}
+_expansions: dict = register_memo("genfunc.series_expand", {})
 
 
 def _ints(c) -> Tuple[int, ...]:
@@ -371,9 +381,10 @@ def _grow_polys(num, factors, body: list, length: int) -> None:
             out.append(_fold(acc, terms[(start + i) % g], out, len(out)))
         heads = out[done:]
     for k, packed in enumerate(heads, start):
-        full = [0] * (g * len(packed))
+        # _fold popped the trailing zeros, so the last x-power set is nonzero
+        full = [0] * (rho[k % g] + g * (len(packed) - 1) + 1)
         full[rho[k % g]::g] = packed
-        body.append(IntPoly(full))
+        body.append(_canonical(tuple(full)))
 
 
 def _grow_scalars(num, den, body: list, length: int, fraction: bool) -> None:
@@ -479,7 +490,7 @@ def _at(gf: RationalGF, x: Fraction) -> RationalGF:
     return RationalGF(sub(gf.numerator), sub(gf.denominator), gf.shift)
 
 
-@lru_cache(maxsize=None)
+@cached
 def q_gf(s: int, variant: GFVariant = GFVariant.CORRECTED,
          x: XMode = None) -> RationalGF:
     """The incomplete-Tribonacci generating function Q_s as a cleared pair.
@@ -510,7 +521,7 @@ def q_gf(s: int, variant: GFVariant = GFVariant.CORRECTED,
     return RationalGF(a, _factor_product(factors), 2 * s + 1, factors)
 
 
-@lru_cache(maxsize=None)
+@cached
 def w_gf(s: int, x: XMode = None) -> RationalGF:
     """The incomplete Tribonacci-Lucas generating function W_s (s >= 1).
 
@@ -533,7 +544,7 @@ def w_gf(s: int, x: XMode = None) -> RationalGF:
     return RationalGF(numerator, q_s.denominator, 2 * s, q_s.factors)
 
 
-@lru_cache(maxsize=None)
+@cached
 def q_gf_numbers_unshifted(s: int) -> RationalGF:
     """The x = 1 printed form without its z^(2s+1) prefactor.
 
@@ -563,7 +574,10 @@ def direct_incomplete_coeff(family: IncompleteFamily, n: int, s: int,
     return p.evaluate(Fraction(x))
 
 
-@lru_cache(maxsize=None)
+# (family, s, x, order) -> the direct values below the order
+_direct: dict = register_memo("genfunc.direct_series", {})
+
+
 def direct_series(family: IncompleteFamily, s: int, x: XMode,
                   order: int) -> Tuple[Coeff, ...]:
     """``direct_incomplete_coeff(family, k, s, x)`` for k < ``order``, memoised.
@@ -572,8 +586,16 @@ def direct_series(family: IncompleteFamily, s: int, x: XMode,
     against the same direct values (Q_s in both variants and at x = 1, W_s
     symbolically and at x = 1) read one tuple.  It is built from the
     double sums and triangles only, never from a pair or its expansion.
+    The memo is the dict ``genfunc.direct_series`` of the registry, keyed by
+    (family, s, x, order), so ``verify.run_all`` can drop one entry after
+    the last id that reads it.
     """
-    return tuple(direct_incomplete_coeff(family, k, s, x) for k in range(order))
+    key = (family, s, x, order)
+    values = _direct.get(key)
+    if values is None:
+        values = _direct.setdefault(
+            key, tuple(direct_incomplete_coeff(family, k, s, x) for k in range(order)))
+    return values
 
 
 @dataclass(frozen=True)

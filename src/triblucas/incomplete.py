@@ -23,14 +23,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, chain
 from math import comb
 from typing import Iterator, Tuple
 
 from .errors import DomainError, InternalConsistencyError
 from .poly import IntPoly
-from .sequences import tribonacci_lucas_number, tribonacci_lucas_poly
+from .sequences import cached, tribonacci_lucas_number, tribonacci_lucas_poly
 from .triangles import (
     _binomial_diagonal_terms,
     _poly_diagonal_sum,
@@ -97,7 +96,7 @@ def _tribonacci_level(n: int, i: int):
         yield 2 * n - 3 * (i + j) - 2, comb(i, j) * comb(n - i - j - 1, i)
 
 
-@lru_cache(maxsize=None)
+@cached
 def incomplete_tribonacci_poly(n: int, s: int) -> IntPoly:
     """T_n^(s)(x) by direct evaluation of the truncated double sum.
 
@@ -112,7 +111,7 @@ def incomplete_tribonacci_poly(n: int, s: int) -> IntPoly:
     return IntPoly(coeffs)
 
 
-@lru_cache(maxsize=None)
+@cached
 def _level_sums(family: IncompleteFamily, n: int) -> Tuple[int, ...]:
     # (F_n(0), ..., F_n(max_level)) for the number family F: running sums of
     # the levels of n's double sum, at x = 1.
@@ -125,7 +124,7 @@ def _level_sums(family: IncompleteFamily, n: int) -> Tuple[int, ...]:
     return tuple(accumulate(levels))
 
 
-@lru_cache(maxsize=None)
+@cached
 def incomplete_tribonacci_number(n: int, s: int) -> int:
     """T_n(s) = T_n^(s)(1): the truncated double sum of binomials in ``int``.
 
@@ -135,7 +134,7 @@ def incomplete_tribonacci_number(n: int, s: int) -> int:
     return _level_sums(IncompleteFamily.INC_TRIBONACCI, n)[s]
 
 
-@lru_cache(maxsize=None)
+@cached
 def incomplete_tl_poly(n: int, s: int, method: str = TRIANGLE_SUM) -> IntPoly:
     """K_n^(s)(x) as a level-s rising-diagonal partial sum.
 
@@ -166,7 +165,7 @@ def incomplete_tl_poly_row(n: int) -> Iterator[IntPoly]:
     return (IntPoly(total) for total in _poly_diagonal_sums(n, n // 2))
 
 
-@lru_cache(maxsize=None)
+@cached
 def incomplete_tl_number(n: int, s: int) -> int:
     """K_n(s) = K_n^(s)(1): the level-s partial sum of the number triangle.
 

@@ -142,9 +142,7 @@ class IntPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "IntPoly":
-        p = IntPoly.__new__(IntPoly)
-        p._coeffs = tuple(-c for c in self._coeffs)
-        return p
+        return _canonical(tuple(-c for c in self._coeffs))
 
     def __sub__(self, other: Scalar) -> "IntPoly":
         other = _coerce(other)
@@ -201,9 +199,7 @@ class IntPoly:
         if not self._coeffs:
             return _ZERO
         _check_degree("shifted degree", len(self._coeffs) - 1 + k)
-        p = IntPoly.__new__(IntPoly)
-        p._coeffs = (0,) * k + self._coeffs
-        return p
+        return _canonical((0,) * k + self._coeffs)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntPoly):
@@ -275,12 +271,16 @@ def _coerce(value: Scalar) -> "IntPoly":
     return NotImplemented
 
 
-_ZERO = IntPoly.__new__(IntPoly)
-_ZERO._coeffs = ()
-_ONE = IntPoly.__new__(IntPoly)
-_ONE._coeffs = (1,)
-_X = IntPoly.__new__(IntPoly)
-_X._coeffs = (0, 1)
+def _canonical(coeffs: Tuple[int, ...]) -> IntPoly:
+    """The IntPoly of ``coeffs``, which is empty or ends in a nonzero value."""
+    p = IntPoly.__new__(IntPoly)
+    p._coeffs = coeffs
+    return p
+
+
+_ZERO = _canonical(())
+_ONE = _canonical((1,))
+_X = _canonical((0, 1))
 
 
 def poly_add(p: IntPoly, q: IntPoly) -> IntPoly:

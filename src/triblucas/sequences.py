@@ -25,7 +25,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, List, Sequence, Tuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple, TypeVar
 
 from .errors import DomainError, NumericalInstabilityError
 from .poly import IntPoly
@@ -34,6 +34,7 @@ if TYPE_CHECKING:
     import mpmath
 
 V = TypeVar("V")
+M = TypeVar("M")
 
 
 class SequenceFamily(enum.Enum):
@@ -50,12 +51,22 @@ class _GrowingCache:
     memo's lock, until it holds ``count`` values: two threads that need one
     value compute it once, and a stored value is read without the lock.  It
     holds the four families, the triangle columns and the series bodies.
+    ``clear()`` puts back the initial values in a new list, so a reader that
+    holds the old list still reads a whole prefix.
     """
 
     def __init__(self, initial: Sequence[V], extend: Callable[[List[V], int], None]):
+        self._initial = tuple(initial)
         self._values: List[V] = list(initial)
         self._extend = extend
         self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._values = list(self._initial)
 
     def grow(self, count: int) -> List[V]:
         """The stored list, grown to at least ``count`` values."""
@@ -71,6 +82,40 @@ class _GrowingCache:
             raise DomainError(f"index must be nonnegative, got {n}")
         values = self._values
         return values[n] if n < len(values) else self.grow(n + 1)[n]
+
+
+class _Cached:
+    """The registry's view of an ``lru_cache`` function."""
+
+    def __init__(self, fn):
+        self._fn = fn
+
+    def __len__(self) -> int:
+        return self._fn.cache_info().currsize
+
+    def clear(self) -> None:
+        self._fn.cache_clear()
+
+
+# The memo registry: every memo of the library by name, as something with
+# len() (its entry count) and clear().  A _GrowingCache counts its values (a
+# triangle its columns), a dict its keys and an lru_cache function its
+# entries.  The series bodies and the direct series are dicts, so a single
+# key can also be dropped from them.
+MEMOS: Dict[str, object] = {}
+
+
+def register_memo(name: str, memo: M) -> M:
+    """Name ``memo`` in ``MEMOS`` and return it unchanged."""
+    MEMOS[name] = memo
+    return memo
+
+
+def cached(fn: Callable) -> Callable:
+    """``lru_cache(maxsize=None)``, registered as ``module.function``."""
+    memo = lru_cache(maxsize=None)(fn)
+    register_memo(f"{fn.__module__.rsplit('.', 1)[-1]}.{fn.__name__}", _Cached(memo))
+    return memo
 
 
 def _by_step(step: Callable[[List[V]], V]) -> Callable[[List[V], int], None]:
@@ -100,13 +145,15 @@ def _poly_step(v: List[IntPoly]) -> IntPoly:
     return _shift_add(v[-1], v[-2], v[-3])
 
 
-_T_NUMBERS = _GrowingCache([0, 1, 1], _by_step(_number_step))
-_K_NUMBERS = _GrowingCache([3, 1, 3], _by_step(_number_step))
-_T_POLYS = _GrowingCache(
-    [IntPoly.zero(), IntPoly.one(), IntPoly.monomial(1, 2)], _by_step(_poly_step))
-_K_POLYS = _GrowingCache(
+_T_NUMBERS = register_memo("sequences.tribonacci_number",
+                           _GrowingCache([0, 1, 1], _by_step(_number_step)))
+_K_NUMBERS = register_memo("sequences.tribonacci_lucas_number",
+                           _GrowingCache([3, 1, 3], _by_step(_number_step)))
+_T_POLYS = register_memo("sequences.tribonacci_poly", _GrowingCache(
+    [IntPoly.zero(), IntPoly.one(), IntPoly.monomial(1, 2)], _by_step(_poly_step)))
+_K_POLYS = register_memo("sequences.tribonacci_lucas_poly", _GrowingCache(
     [IntPoly.constant(3), IntPoly.monomial(1, 2), IntPoly((0, 2, 0, 0, 1))],
-    _by_step(_poly_step))
+    _by_step(_poly_step)))
 
 
 # Indices below the cap are served by the memos above; no memo holds more.
@@ -198,7 +245,7 @@ def binet_roots(precision: int = 64) -> BinetRoots:
     return _solved_roots(precision)
 
 
-@lru_cache(maxsize=None)
+@cached
 def _solved_roots(precision: int) -> BinetRoots:
     # One solve per precision: the roots are immutable and do not depend on
     # the caller's mpmath context, because workprec sets it absolutely.
@@ -273,7 +320,7 @@ def _vieta_residuals(roots: Tuple[Fixed, Fixed, Fixed], bits: int) -> Tuple[Fixe
             (abg[0] - one, abg[1]))
 
 
-@lru_cache(maxsize=None)
+@cached
 def _fixed_roots(bits: int) -> Tuple[Fixed, Fixed, Fixed]:
     """alpha, beta, gamma of t^3 - t^2 - t - 1 with ``bits`` fractional bits.
 

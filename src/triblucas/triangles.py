@@ -33,7 +33,7 @@ from typing import Iterator, List, Tuple, Union
 
 from .errors import DomainError, InternalConsistencyError
 from .poly import IntPoly, poly_format
-from .sequences import _by_step, _GrowingCache, _shift_add
+from .sequences import _by_step, _GrowingCache, _shift_add, register_memo
 
 Entry = Union[int, IntPoly]
 
@@ -117,8 +117,10 @@ def _cell(memo: _GrowingCache, n: int, i: int) -> Entry:
     return columns[i]._values[n - i]
 
 
-_NUMBER_COLUMNS = _triangle(TriangleKind.NUMBERS)
-_POLY_COLUMNS = _triangle(TriangleKind.POLYNOMIALS)
+_NUMBER_COLUMNS = register_memo("triangles.triangle_entry_number",
+                                _triangle(TriangleKind.NUMBERS))
+_POLY_COLUMNS = register_memo("triangles.triangle_entry_poly",
+                              _triangle(TriangleKind.POLYNOMIALS))
 
 
 def _check_cell(n: int, i: int) -> None:

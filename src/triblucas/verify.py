@@ -10,7 +10,10 @@ the part of the domain that is not a bound.  To add an identity, append
 an entry whose sides call the library through this module's globals,
 which is what a tracer patches.  One walker enumerates every lattice,
 capped by a SweepRange, comparing the sides with exact arithmetic, and
-each report's ``domain:`` note is rendered from the same axes.
+each report's ``domain:`` note is rendered from the same axes.  The sides
+of the generating-function ids also name the series body and direct-series
+entry they read at each point, so ``run_all`` can release each of them
+after its last reader.
 
 Two ids are *expected* to fail: they faithfully reproduce closed forms
 whose printed statements disagree with direct enumeration (the z^2
@@ -35,6 +38,7 @@ from . import incomplete as inc
 from .errors import UnknownIdentityError
 from .poly import IntPoly, poly_format
 from .sequences import (
+    MEMOS,
     SequenceFamily,
     binet_estimate,
     tribonacci_lucas_number,
@@ -267,6 +271,16 @@ class CatalogEntry:
                     lhs, rhs = sides(*args)
                     yield point, lhs, rhs
 
+    def reads(self, rng: SweepRange) -> Iterator[Tuple[str, object]]:
+        """(registry name, key) of each memo entry that the sides read, over
+        the outer lattice; only series sides declare their reads."""
+        reads = getattr(self.sides, "reads", None)
+        if reads is None:
+            return
+        outer = self.axes[:-1]
+        for point in _walk(outer, rng, {}):
+            yield from reads(*(point[axis.name] for axis in outer), rng.order)
+
     def domain(self, rng: SweepRange) -> str:
         clauses = []
         for outer, axis in zip((None,) + self.axes, self.axes):
@@ -315,14 +329,35 @@ def _at_one(family: str, n: int):
     return tribonacci_lucas_poly(n).evaluate(1), tribonacci_lucas_number(n)
 
 
-def _q_series(variant: gf.GFVariant):
-    # the direct values are memoised per (family, s, x, order), shared by the family's ids
-    return lambda s, x, order: (gf.series_expand(gf.q_gf(s, variant, x), order).coeffs,
-                                gf.direct_series(_TRIB, s, x, order))
+class _Series(NamedTuple):
+    """The sides of a series id: the expansion of ``pair(s, x)`` against the
+    direct values of ``family`` at level s and x.  They take s, then x, then
+    the order; ``fixed_x`` is (x,) for a lattice without an x axis.  The
+    direct values are memoised per (family, s, x, order), shared by the
+    family's ids."""
+
+    family: inc.IncompleteFamily
+    pair: Callable[[int, Optional[Fraction]], gf.RationalGF]
+    fixed_x: Tuple[Fraction, ...] = ()
+
+    def __call__(self, s: int, *x_order):
+        x, order = self.fixed_x + x_order
+        return (gf.series_expand(self.pair(s, x), order).coeffs,
+                gf.direct_series(self.family, s, x, order))
+
+    def reads(self, s: int, *x_order) -> Tuple[Tuple[str, object], ...]:
+        """(registry name, key) of the series body and of the direct-series
+        entry that the sides read at this point."""
+        x, order = self.fixed_x + x_order
+        return (("genfunc.series_expand", gf.series_key(self.pair(s, x))),
+                ("genfunc.direct_series", (self.family, s, x, order)))
 
 
-def _w_series(s: int, x: Optional[Fraction], order: int):
-    return gf.series_expand(gf.w_gf(s, x), order).coeffs, gf.direct_series(_TL, s, x, order)
+def _q_series(variant: gf.GFVariant) -> _Series:
+    return _Series(_TRIB, lambda s, x: gf.q_gf(s, variant, x))
+
+
+_W_SERIES = _Series(_TL, lambda s, x: gf.w_gf(s, x))
 
 
 _CATALOG: Dict[str, CatalogEntry] = {entry.id: entry for entry in (
@@ -411,17 +446,16 @@ _CATALOG: Dict[str, CatalogEntry] = {entry.id: entry for entry in (
                  "Cor 11", (Span("s", 0, S_MAX), X_ONE, POWERS),
                  _q_series(gf.GFVariant.CORRECTED), suffix="x = 1"),
     CatalogEntry("thm12", "incomplete Tribonacci-Lucas generating function from two Tribonacci "
-                 "ones", "Thm 12", (Span("s", 1, S_MAX), X_MODES, POWERS), _w_series,
+                 "ones", "Thm 12", (Span("s", 1, S_MAX), X_MODES, POWERS), _W_SERIES,
                  suffix=_x_set,
                  extra_notes=("stated for s > 1 but verified from s = 1 on; the assembled "
                               "function restores the boundary term 2 T_(2s-2)(x) z^(2s) "
                               "that the literal combination drops for s >= 2")),
     CatalogEntry("cor13", "incomplete Tribonacci-Lucas number generating function (x = 1)",
-                 "Cor 13", (Span("s", 1, S_MAX), X_ONE, POWERS), _w_series, suffix="x = 1"),
+                 "Cor 13", (Span("s", 1, S_MAX), X_ONE, POWERS), _W_SERIES, suffix="x = 1"),
     CatalogEntry("eq1.6-shift", "unshifted printed number generating function (off by the "
                  "z^(2s+1) prefactor)", "1.6", (Span("s", 0, S_MAX), POWERS),
-                 lambda s, order: (gf.series_expand(gf.q_gf_numbers_unshifted(s), order).coeffs,
-                                   gf.direct_series(_TRIB, s, Fraction(1), order)),
+                 _Series(_TRIB, lambda s, x: gf.q_gf_numbers_unshifted(s), (Fraction(1),)),
                  suffix="x = 1, no prefactor", expects_failures=True,
                  extra_notes=("matches the shifted printed form only after multiplying by "
                               "z^(2s+1); compared directly against the incomplete numbers "
@@ -466,10 +500,33 @@ def run_identity(identity_id: str, rng: Optional[SweepRange] = None) -> Identity
 
 
 def run_all(rng: Optional[SweepRange] = None) -> List[IdentityReport]:
-    """Run every catalog entry in catalog order."""
+    """Run every catalog entry in catalog order.
+
+    The run releases what it builds once no later entry reads it.  Each
+    series body and direct-series entry that the run creates is dropped
+    from its registry memo (``sequences.MEMOS``) right after the last entry
+    of the run whose sides read it, as ``CatalogEntry.reads`` derives from
+    the entries' outer lattices.  So nothing is built twice, and the sweep
+    holds the bodies of one id and of the ids still to read them, not of
+    every id.  Entries that existed before the run stay, and so does every
+    other memo: a library session keeps what it built.
+    """
     if rng is None:
         rng = SweepRange()
-    return [run_identity(identity_id, rng) for identity_id in _CATALOG]
+    last_reader = {}
+    for index, entry in enumerate(_CATALOG.values()):
+        for read in entry.reads(rng):
+            last_reader[read] = index
+    release: List[list] = [[] for _ in _CATALOG]
+    for (name, key), index in last_reader.items():
+        if key not in MEMOS[name]:
+            release[index].append((name, key))
+    reports = []
+    for identity_id, drop in zip(_CATALOG, release):
+        reports.append(run_identity(identity_id, rng))
+        for name, key in drop:
+            MEMOS[name].pop(key, None)
+    return reports
 
 
 def overall_success(reports: Sequence[IdentityReport]) -> bool:

@@ -32,11 +32,13 @@ from triblucas.incomplete import (
     incomplete_tribonacci_poly,
 )
 from triblucas.poly import IntPoly, poly_parse
-from triblucas.sequences import tribonacci_poly
+from triblucas.sequences import MEMOS, tribonacci_poly
 from triblucas.verify import SweepRange, run_identity
 
 TRIB = IncompleteFamily.INC_TRIBONACCI
 TL = IncompleteFamily.INC_TRIBONACCI_LUCAS
+BODIES = MEMOS["genfunc.series_expand"]
+DIRECT = MEMOS["genfunc.direct_series"]
 
 
 def ints(series):
@@ -365,14 +367,14 @@ _OFF_LATTICE = ([_X, 1, _X2], _zmul(_TRIB_FACTOR, (1, -_X2 - _X)),
 @example(_FACTORED, 0, 0)
 def test_expansion_kernels_match_the_generic_loop(pair, shift, order):
     # Equal pairs with and without factors share one memo entry.
-    genfunc._expansions.clear()
+    BODIES.clear()
     gf = RationalGF(tuple(pair[0]), tuple(pair[1]), shift, *pair[2:])
     got = series_expand(gf, order).coeffs
     want = _generic_expand(gf, order)
     assert got == want
     assert [type(c) for c in got] == [type(c) for c in want]
     if gf.factors:
-        genfunc._expansions.clear()
+        BODIES.clear()
         plain = series_expand(RationalGF(gf.numerator, gf.denominator, shift), order)
         assert plain.coeffs == got
         assert [type(c) for c in plain.coeffs] == [type(c) for c in got]
@@ -404,15 +406,14 @@ def test_factors_must_have_unit_terms_and_multiply_to_the_denominator():
 
 
 def test_factor_check_still_rejects_once_the_product_memo_is_warm():
-    genfunc._factor_product.cache_clear()
-    q_gf.cache_clear()
-    w_gf.cache_clear()
+    for name in ("genfunc._factor_product", "genfunc.q_gf", "genfunc.w_gf"):
+        MEMOS[name].clear()
     s = 3
     good = q_gf(s)
     q_gf(s, GFVariant.AS_PRINTED)
     w = w_gf(s)                       # also builds Q_(s-1)
     # Q_s in both variants and W_s build one product for level s
-    assert genfunc._factor_product.cache_info().misses == 2
+    assert len(MEMOS["genfunc._factor_product"]) == 2
     assert w.denominator is good.denominator
     d, m = good.factors[0], good.factors[1]
     wrong = [
@@ -429,17 +430,17 @@ def test_factor_check_still_rejects_once_the_product_memo_is_warm():
 
 @pytest.mark.parametrize("symbolic_first", [True, False])
 def test_direct_series_is_shared_by_the_sweeps_of_one_family(symbolic_first):
-    genfunc.direct_series.cache_clear()
+    DIRECT.clear()
     rng = SweepRange(s_max=3, order=24, x_points=(Fraction(1),), include_symbolic=False)
     run_identity("cor11", rng)
-    built = genfunc.direct_series.cache_info()
-    assert built.misses == 4
+    built = dict(DIRECT)
+    assert len(built) == 4
     for identity_id in ("thm10-printed", "thm10-corrected", "eq1.6-shift"):
         run_identity(identity_id, rng)
-    after = genfunc.direct_series.cache_info()
-    # one read per level: 4 for each thm10-* id, 4 for eq1.6-shift
-    assert after.misses == built.misses and after.hits == built.hits + 8 + 4
-    incomplete_tribonacci_poly.cache_clear()
+    # each level's tuple is read again, never built again
+    assert DIRECT.keys() == built.keys()
+    assert all(DIRECT[key] is values for key, values in built.items())
+    MEMOS["incomplete.incomplete_tribonacci_poly"].clear()
     one = Fraction(1)
     for s in range(4):
         fresh = tuple(direct_incomplete_coeff(TRIB, k, s, one) for k in range(24))
@@ -447,12 +448,12 @@ def test_direct_series_is_shared_by_the_sweeps_of_one_family(symbolic_first):
         assert shared == fresh
         assert all(type(c) is Fraction for c in shared)
     # the symbolic and the x = 1 values never share an entry, in either order
-    genfunc.direct_series.cache_clear()
+    DIRECT.clear()
     modes = [None, one] if symbolic_first else [one, None]
     kinds = {None: IntPoly, one: Fraction}
     for x in modes:
         assert {type(c) for c in genfunc.direct_series(TRIB, 2, x, 24)} == {kinds[x]}
-    assert genfunc.direct_series.cache_info().misses == 2
+    assert len(DIRECT) == 2
 
 
 @pytest.mark.parametrize("order, s_max, expected", [
@@ -488,7 +489,7 @@ def test_mixed_int_and_intpoly_pair_expands_to_intpolys():
 def test_expansion_memo_keeps_coefficient_types(int_first):
     # Equal int and Fraction pairs compare and hash alike; the memo must not
     # hand one kind's expansion to the other.
-    genfunc._expansions.clear()
+    BODIES.clear()
     int_gf = RationalGF((1,), (1, -1))
     frac_gf = RationalGF((Fraction(1),), (Fraction(1), Fraction(-1)))
     order = [int_gf, frac_gf] if int_first else [frac_gf, int_gf]
@@ -510,7 +511,7 @@ def test_expansion_memo_keeps_coefficient_types(int_first):
 @example(_OFF_LATTICE, 2, [7, 3, 20, 24])
 def test_expansion_resumes_from_the_memoised_body(pair, shift, orders):
     # Each order is served from, or continues, the longest body so far.
-    genfunc._expansions.clear()
+    BODIES.clear()
     gf = RationalGF(tuple(pair[0]), tuple(pair[1]), shift, *pair[2:])
     for order in orders:
         got = series_expand(gf, order).coeffs
@@ -526,10 +527,10 @@ def test_q_and_w_resumed_in_any_order_match_fresh_expansions():
     requests = [(gf, order) for gf in pairs for order in (32, 64, 96)]
     fresh = {}
     for gf, order in requests:
-        genfunc._expansions.clear()
+        BODIES.clear()
         fresh[gf, order] = series_expand(gf, order).coeffs
     random.Random(15).shuffle(requests)
-    genfunc._expansions.clear()
+    BODIES.clear()
     for gf, order in requests:
         got = series_expand(gf, order).coeffs
         assert got == fresh[gf, order]
@@ -537,12 +538,12 @@ def test_q_and_w_resumed_in_any_order_match_fresh_expansions():
 
 
 def test_expansion_memo_keeps_one_body_per_pair():
-    genfunc._expansions.clear()
+    BODIES.clear()
     gf = w_gf(5)
     for order in (32, 96, 64):
         series_expand(gf, order)
-    assert list(genfunc._expansions) == [(gf, IntPoly)]
-    body = genfunc._expansions[gf, IntPoly]._values
+    assert list(BODIES) == [(gf, IntPoly)]
+    body = BODIES[gf, IntPoly]._values
     assert len(body) == 96 - gf.shift
     assert all(type(c) is IntPoly for c in body)
     assert series_expand(gf, 64).coeffs[gf.shift:] == tuple(body[:64 - gf.shift])
@@ -554,9 +555,9 @@ def test_threads_growing_one_pair_run_the_kernel_once_per_extension(first):
     # others ask the same pair for orders 96 and 32; they wait, then find the
     # body long enough or extend it once.  The body only ever grows.
     gf = w_gf(6)
-    genfunc._expansions.clear()
+    BODIES.clear()
     want = series_expand(gf, 96).coeffs
-    genfunc._expansions.clear()
+    BODIES.clear()
     kernel, calls, entered = genfunc._grow_polys, [], threading.Event()
 
     def slow_kernel(num, factors, body, length):
@@ -582,7 +583,7 @@ def test_threads_growing_one_pair_run_the_kernel_once_per_extension(first):
     assert not any(thread.is_alive() for thread in threads)
     low, high = 32 - gf.shift, 96 - gf.shift
     assert calls == {32: [(0, low), (low, high)], 96: [(0, high)]}[first]
-    assert len(genfunc._expansions[gf, IntPoly]._values) == 96 - gf.shift
+    assert len(BODIES[gf, IntPoly]._values) == 96 - gf.shift
     assert sorted(order for order, _ in results) == sorted([first] + [96, 32] * 3)
     assert all(coeffs == want[:order] for order, coeffs in results)
 
@@ -594,7 +595,7 @@ def test_threads_growing_one_memo_read_only_whole_bodies():
     pairs = [q_gf(3), q_gf(7, GFVariant.AS_PRINTED), w_gf(4, Fraction(1, 2))]
     fresh = {}
     for gf in pairs:
-        genfunc._expansions.clear()
+        BODIES.clear()
         fresh[gf] = series_expand(gf, 64).coeffs
     errors = []
 
@@ -602,7 +603,7 @@ def test_threads_growing_one_memo_read_only_whole_bodies():
         rng = random.Random(seed)
         for _ in range(40):
             if rng.random() < 0.2:
-                genfunc._expansions.clear()
+                BODIES.clear()
             gf, order = rng.choice(pairs), rng.choice((8, 20, 40, 64))
             if series_expand(gf, order).coeffs != fresh[gf][:order]:
                 errors.append((gf, order))

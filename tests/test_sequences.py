@@ -241,3 +241,27 @@ def test_concurrent_cache_growth_matches_serial():
     with ThreadPoolExecutor(max_workers=8) as pool:
         numbers = list(pool.map(tribonacci_number, [500] * 16))
     assert len(set(numbers)) == 1
+
+
+def test_the_registry_names_every_memo():
+    from triblucas import genfunc, incomplete, triangles
+    # every lru_cache function and _GrowingCache of the library, and the
+    # series bodies and direct series, which are dicts
+    registered = {id(getattr(memo, "_fn", memo)) for memo in sequences.MEMOS.values()}
+    for module in (sequences, triangles, incomplete, genfunc):
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") or isinstance(value, sequences._GrowingCache):
+                assert id(value) in registered, (module.__name__, name)
+    assert {id(genfunc._expansions), id(genfunc._direct)} <= registered
+    assert len(sequences.MEMOS) == 19
+    for memo in sequences.MEMOS.values():
+        memo.clear()
+    seeded = {name: len(memo) for name, memo in sequences.MEMOS.items() if len(memo)}
+    assert seeded == {f"sequences.{name}": 3 for name in (
+        "tribonacci_number", "tribonacci_lucas_number", "tribonacci_poly",
+        "tribonacci_lucas_poly")}
+    assert sequences.tribonacci_poly(10).evaluate(1) == 149
+    assert len(sequences.MEMOS["sequences.tribonacci_poly"]) == 11
+    genfunc.series_expand(genfunc.q_gf(2), 12)
+    assert len(sequences.MEMOS["genfunc.series_expand"]) == 1
+    assert len(sequences.MEMOS["genfunc.q_gf"]) == 1

@@ -1,13 +1,19 @@
 import dataclasses
+import gc
 import hashlib
+import tracemalloc
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
 
+from triblucas import genfunc as gf
 from triblucas import incomplete as inc
+from triblucas import verify
 from triblucas.errors import UnknownIdentityError
 from triblucas.sequences import (
+    MEMOS,
     SequenceFamily,
     binet_estimate,
     tribonacci_lucas_number,
@@ -39,6 +45,17 @@ EXPECTED_IDS = [
 ]
 
 SMALL = SweepRange(n_max=10, s_max=2, h_max=4, order=12)
+BODIES = MEMOS["genfunc.series_expand"]
+DIRECT = MEMOS["genfunc.direct_series"]
+HALF, TWO = Fraction(1, 2), Fraction(2)
+# The series ids at s <= 3 and order 24, with x = 1 among the x points (the
+# corrected Q_s and W_s bodies and the direct series at x = 1 are then
+# built before cor11, cor13 and eq1.6-shift read them) and without it.
+SCOPED = {
+    "with-one": SweepRange(n_max=8, s_max=3, h_max=2, order=24,
+                           x_points=(Fraction(1), TWO, HALF)),
+    "without-one": SweepRange(n_max=8, s_max=3, h_max=2, order=24, x_points=(TWO, HALF)),
+}
 
 
 def test_catalog_is_complete_and_stable():
@@ -250,3 +267,50 @@ def test_errata_records():
     assert text.startswith("FORMULA ERRATA")
     for record in report.records:
         assert record.key in text
+
+
+@pytest.mark.parametrize("case", SCOPED)
+def test_run_all_releases_the_entries_it_created(case):
+    rng = SCOPED[case]
+    BODIES.clear()
+    DIRECT.clear()
+    # built before the run, at keys the run reads too
+    pair = gf.q_gf(1, gf.GFVariant.CORRECTED, TWO)
+    gf.series_expand(pair, 8)
+    gf.direct_series(inc.IncompleteFamily.INC_TRIBONACCI, 1, TWO, 24)
+    before = (set(BODIES), set(DIRECT))
+    run_all(rng)                      # fills every other memo of the run
+    assert (set(BODIES), set(DIRECT)) == before
+    assert len(BODIES[gf.series_key(pair)]) == 24 - pair.shift
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run_all(rng)
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert (set(BODIES), set(DIRECT)) == before
+    # about 1 kB; the bodies and direct values of one run hold about 215 kB
+    assert left < 20_000
+
+
+@pytest.mark.parametrize("case, built", [("with-one", 48 + 28), ("without-one", 44 + 28)])
+def test_run_all_builds_each_series_entry_once(case, built, monkeypatch):
+    BODIES.clear()
+    DIRECT.clear()
+    created = []
+    run = verify.run_identity
+
+    def counting(identity_id, rng):
+        before = set(BODIES) | set(DIRECT)
+        report = run(identity_id, rng)
+        created.extend(key for key in (*BODIES, *DIRECT) if key not in before)
+        return report
+
+    monkeypatch.setattr(verify, "run_identity", counting)
+    run_all(SCOPED[case])
+    counts = Counter(created)
+    assert len(counts) == built
+    assert max(counts.values()) == 1
