@@ -131,6 +131,15 @@ class RationalGF:
         if _factor_product(self.factors) != self.denominator:
             raise ExpansionError("factors must multiply to the denominator")
 
+    def __hash__(self) -> int:
+        # Taken once per pair: run_all hashes each body key a few times, and
+        # a Fraction coefficient hashes slowly.
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.numerator, self.denominator, self.shift))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def to_json_dict(self) -> dict:
         return {
             "shift": self.shift,

@@ -274,12 +274,11 @@ class CatalogEntry:
     def reads(self, rng: SweepRange) -> Iterator[Tuple[str, object]]:
         """(registry name, key) of each memo entry that the sides read, over
         the outer lattice; only series sides declare their reads."""
-        reads = getattr(self.sides, "reads", None)
-        if reads is None:
+        if not isinstance(self.sides, _Series):
             return
         outer = self.axes[:-1]
         for point in _walk(outer, rng, {}):
-            yield from reads(*(point[axis.name] for axis in outer), rng.order)
+            yield from self.sides.reads(*(point[axis.name] for axis in outer), rng.order)
 
     def domain(self, rng: SweepRange) -> str:
         clauses = []
