@@ -8,10 +8,11 @@ identity suite).  Exit codes: 0 success, 1 verification failure, 2 usage
 error (including a ``seq`` index above ``SEQ_INDEX_MAX``, a ``poly``
 index above ``POLY_INDEX_MAX``, a ``table --rows`` count or an
 ``incomplete`` index above ``TRIANGLE_INDEX_MAX``, or a ``gf`` level above
-``GF_S_MAX`` or order above ``GF_ORDER_MAX``, each rejected before any
-work), 3 internal error (an unexpected exception, reported as one
-``error: internal: <Type>: <message>`` line on stderr).  All output is
-UTF-8 with "\\n" newlines and deterministic.
+``GF_S_MAX`` or order above ``GF_ORDER_MAX``, or a rational ``--x`` or
+``--x-points`` value with more than ``X_DIGITS_MAX`` digits in its numerator
+or denominator, each rejected before any work), 3 internal error (an
+unexpected exception, reported as one ``error: internal: <Type>: <message>``
+line on stderr).  All output is UTF-8 with "\\n" newlines and deterministic.
 """
 
 from __future__ import annotations
@@ -43,12 +44,17 @@ PLAIN, JSON, CSV, BFILE = "plain", "json", "csv", "bfile"
 # and incomplete values fill the polynomial triangle or the double sums, whose
 # memos and text grow as O(n^3): about 100 MB at 150 rows.  A symbolic ``gf``
 # inc-tl expansion at the corner s = 24, order 192 takes about a second and
-# 80 MB; the bounds cover the large verify range (s 16, order 128).
+# 80 MB; the bounds cover the large verify range (s 16, order 128).  A
+# rational x is counted as written, exponent applied.  At that corner the
+# coefficients reach x^382, so a 10-digit x gives numerators and denominators
+# of about 3,840 digits, below the 4,300 of ``str(int)``, and a 20-digit one
+# about 7,700.
 SEQ_INDEX_MAX = 16000
 POLY_INDEX_MAX = 1000
 TRIANGLE_INDEX_MAX = 150
 GF_S_MAX = 24
 GF_ORDER_MAX = 192
+X_DIGITS_MAX = 10
 
 
 class _UsageError(Exception):
@@ -59,11 +65,29 @@ def _compact_json(payload) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
+def _digits(text: str) -> int:
+    return len(text.lstrip("+-").replace("_", "").lstrip("0"))
+
+
 def _parse_fraction(text: str) -> Fraction:
+    """``text`` as a Fraction, refused before one is built when its numerator
+    or denominator as written (p/q, or a decimal with its exponent applied,
+    unreduced) has more than ``X_DIGITS_MAX`` digits."""
+    mantissa, _, exponent = text.strip().lower().partition("e")
+    num, slash, den = mantissa.partition("/")
+    whole, _, frac = num.partition(".")
     try:
-        return Fraction(text)
+        shift = int(exponent or 0) - len(frac)
+        if slash:
+            sizes = (_digits(num), _digits(den))
+        else:   # the integer (whole frac) times 10^shift
+            sizes = (_digits(whole + frac) + max(shift, 0), 1 + max(-shift, 0))
+        if max(sizes) <= X_DIGITS_MAX:
+            return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise _UsageError(f"not a rational number: {text!r}")
+    raise _UsageError(f"rational x must have at most {X_DIGITS_MAX} digits in its "
+                      f"numerator and denominator, got {text!r}")
 
 
 # -- seq -----------------------------------------------------------------------
@@ -191,12 +215,13 @@ _INCOMPLETE_FAMILIES = {
 def _cmd_incomplete(args) -> int:
     if args.n > TRIANGLE_INDEX_MAX:
         raise _UsageError(f"index must be <= {TRIANGLE_INDEX_MAX}, got {args.n}")
+    x = _parse_fraction(args.x) if args.x is not None else None
     try:
         p = _INCOMPLETE_FAMILIES[args.family](args.n, args.s)
     except DomainError as exc:
         raise _UsageError(str(exc))
-    if args.x is not None:
-        value = p.evaluate(_parse_fraction(args.x))
+    if x is not None:
+        value = p.evaluate(x)
         if args.format == PLAIN:
             out = f"{value}\n"
         elif args.format == CSV:
@@ -271,8 +296,8 @@ def _cmd_verify(args) -> int:
     for identity_id in args.id or ():
         if identity_id not in known:
             raise _UsageError(f"unknown identity id {identity_id!r}")
-    x_points = tuple(_parse_fraction(tok)
-                     for tok in args.x_points.split(",")) if args.x_points else None
+    x_points = tuple(_parse_fraction(tok) for tok in args.x_points.split(",")) \
+        if args.x_points is not None else None
     try:
         rng = verify.SweepRange(
             n_max=args.n_max, s_max=args.s_max, h_max=args.h_max,
@@ -322,6 +347,9 @@ def _render_verify_plain(reports) -> str:
 
 # -- parser ----------------------------------------------------------------------
 
+_X_DIGITS_HELP = f"numerator and denominator of at most {X_DIGITS_MAX} digits"
+
+
 def _add_format(parser: argparse.ArgumentParser, choices) -> None:
     parser.add_argument("--format", choices=choices, default=PLAIN)
 
@@ -359,7 +387,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=sorted(_INCOMPLETE_FAMILIES))
     p.add_argument("n", type=int, help=f"index, at most {TRIANGLE_INDEX_MAX}")
     p.add_argument("s", type=int)
-    p.add_argument("--x", help="rational evaluation point, e.g. 1 or 1/2")
+    p.add_argument("--x", help="rational evaluation point, e.g. 1 or 1/2, "
+                               f"{_X_DIGITS_HELP}")
     _add_format(p, [PLAIN, JSON, CSV])
     p.set_defaults(func=_cmd_incomplete)
 
@@ -369,7 +398,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("order", type=int,
                    help=f"number of series coefficients, at most {GF_ORDER_MAX}")
     p.add_argument("--variant", choices=sorted(_VARIANT_FLAGS), default="corrected")
-    p.add_argument("--x", help="rational evaluation point; omit for symbolic x")
+    p.add_argument("--x", help=f"rational evaluation point, {_X_DIGITS_HELP}; "
+                               "omit for symbolic x")
     _add_format(p, [PLAIN, JSON, CSV])
     p.set_defaults(func=_cmd_gf)
 
@@ -380,7 +410,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-max", type=int, default=8)
     p.add_argument("--h-max", type=int, default=12)
     p.add_argument("--order", type=int, default=48)
-    p.add_argument("--x-points", help="comma-separated rationals, default 1,2,1/2")
+    p.add_argument("--x-points", help=f"comma-separated rationals, {_X_DIGITS_HELP}; "
+                                      "default 1,2,1/2")
     p.add_argument("--no-symbolic", action="store_true",
                    help="skip the symbolic-x generating-function sweeps")
     _add_format(p, [PLAIN, JSON, CSV])

@@ -54,12 +54,11 @@ which is what the verification sweeps require.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import comb, gcd, lcm
 from operator import add, sub
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 from .errors import DomainError, ExpansionError
 from .incomplete import (
@@ -69,7 +68,7 @@ from .incomplete import (
     is_valid,
 )
 from .poly import IntPoly, _canonical, poly_format
-from .sequences import _GrowingCache, cached, register_memo, tribonacci_poly
+from .sequences import _Frozen, _GrowingCache, cached, register_memo, tribonacci_poly
 
 Coeff = Union[int, Fraction, IntPoly]
 XMode = Optional[Fraction]  # None means symbolic x
@@ -83,11 +82,17 @@ class GFVariant(enum.Enum):
 DEFAULT_ORDER = 64
 
 
-@dataclass(frozen=True)
-class PowerSeries:
-    """A truncated series in z; exactly ``order`` coefficients are stored."""
+class PowerSeries(_Frozen):
+    """A truncated series in z; exactly ``order`` coefficients are stored.
 
-    coeffs: Tuple[Coeff, ...]
+    ``series[k]`` is the coefficient of z^k.  Immutable; equal to another
+    series with equal ``coeffs``, and hashed over them.
+    """
+
+    __slots__ = _fields = ("coeffs",)
+
+    def __init__(self, coeffs: Tuple[Coeff, ...]):
+        self._set(coeffs)
 
     @property
     def order(self) -> int:
@@ -100,8 +105,7 @@ class PowerSeries:
         return [render_coeff(c) for c in self.coeffs]
 
 
-@dataclass(frozen=True)
-class RationalGF:
+class RationalGF(_Frozen):
     """numerator/denominator pair of z-polynomials times a z^shift prefactor.
 
     The denominator's z^0 coefficient must be the unit of the coefficient
@@ -111,32 +115,38 @@ class RationalGF:
     take no part in equality, hashing or serialization.  The check
     multiplies them out through the memoised :func:`_factor_product`, so
     pairs that share a factors tuple (Q_s in both variants, and W_s) build
-    the product once.
+    the product once.  Immutable; equal to another pair with the same
+    numerator, denominator and shift, and every construction, a copy or
+    unpickling included, runs the checks.
     """
 
-    numerator: Tuple[Coeff, ...]
-    denominator: Tuple[Coeff, ...]
-    shift: int = 0
-    factors: Tuple[Tuple[Coeff, ...], ...] = field(default=(), compare=False)
+    _fields = ("numerator", "denominator", "shift", "factors")
+    __slots__ = _fields + ("_hash",)
 
-    def __post_init__(self):
-        if self.shift < 0:
-            raise DomainError(f"shift must be nonnegative, got {self.shift}")
-        if not self.denominator or not _is_one(self.denominator[0]):
+    def __init__(self, numerator: Tuple[Coeff, ...], denominator: Tuple[Coeff, ...],
+                 shift: int = 0, factors: Tuple[Tuple[Coeff, ...], ...] = ()):
+        self._set(numerator, denominator, shift, factors)
+        object.__setattr__(self, "_hash", None)
+        if shift < 0:
+            raise DomainError(f"shift must be nonnegative, got {shift}")
+        if not denominator or not _is_one(denominator[0]):
             raise ExpansionError("denominator constant term must be 1")
-        if not self.factors:
+        if not factors:
             return
-        if not all(f and _is_one(f[0]) for f in self.factors):
+        if not all(f and _is_one(f[0]) for f in factors):
             raise ExpansionError("factor constant terms must be 1")
-        if _factor_product(self.factors) != self.denominator:
+        if _factor_product(factors) != denominator:
             raise ExpansionError("factors must multiply to the denominator")
+
+    def _key(self) -> tuple:
+        return self.numerator, self.denominator, self.shift
 
     def __hash__(self) -> int:
         # Taken once per pair: run_all hashes each body key a few times, and
         # a Fraction coefficient hashes slowly.
-        h = self.__dict__.get("_hash")
+        h = self._hash
         if h is None:
-            h = hash((self.numerator, self.denominator, self.shift))
+            h = hash(self._key())
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -433,13 +443,13 @@ def _grow_scalars(num, den, body: list, length: int, fraction: bool) -> None:
 
 # -- generic non-homogeneous third-order clearing -----------------------------
 
-@dataclass(frozen=True)
-class Lemma9Spec:
+class Lemma9Spec(NamedTuple):
     """Inputs for clearing S_n = a S_{n-1} + b S_{n-2} + c S_{n-3} + r_n.
 
     ``r`` is the forcing sequence: a RationalGF (exact closed form), a
     PowerSeries (the result is then only valid to that truncation), or None
-    for the homogeneous case.
+    for the homogeneous case.  Immutable; compares and hashes as the tuple
+    of its fields.
     """
 
     a: Coeff
@@ -607,9 +617,11 @@ def direct_series(family: IncompleteFamily, s: int, x: XMode,
     return values
 
 
-@dataclass(frozen=True)
-class GFComparison:
-    """Coefficientwise comparison of a generating function against direct values."""
+class GFComparison(NamedTuple):
+    """Coefficientwise comparison of a generating function against direct values.
+
+    Immutable; compares and hashes as the tuple of its fields.
+    """
 
     family: IncompleteFamily
     s: int

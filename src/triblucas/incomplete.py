@@ -22,14 +22,13 @@ identity.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from math import comb
 from typing import Iterator, Tuple
 
 from .errors import DomainError, InternalConsistencyError
 from .poly import IntPoly
-from .sequences import cached, tribonacci_lucas_number, tribonacci_lucas_poly
+from .sequences import _Frozen, cached, tribonacci_lucas_number, tribonacci_lucas_poly
 from .triangles import (
     _binomial_diagonal_terms,
     _poly_diagonal_sum,
@@ -76,16 +75,19 @@ def check_domain(family: IncompleteFamily, n: int, s: int) -> None:
             f"for {family.value} at n={n}")
 
 
-@dataclass(frozen=True)
-class IncompleteIndex:
-    """A validated (n, s) pair for one incomplete family."""
+class IncompleteIndex(_Frozen):
+    """A validated (n, s) pair for one incomplete family.
 
-    n: int
-    s: int
-    family: IncompleteFamily
+    Immutable; equal to another index with the same n, s and family, and
+    hashed over them.  Every construction, a copy or unpickling included,
+    runs the domain check.
+    """
 
-    def __post_init__(self):
-        check_domain(self.family, self.n, self.s)
+    __slots__ = _fields = ("n", "s", "family")
+
+    def __init__(self, n: int, s: int, family: IncompleteFamily):
+        self._set(n, s, family)
+        check_domain(family, n, s)
 
 
 def _tribonacci_level(n: int, i: int):

@@ -22,10 +22,9 @@ from __future__ import annotations
 import enum
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Dict, List, Sequence, Tuple, TypeVar
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Sequence, Tuple, TypeVar
 
 from .errors import DomainError, NumericalInstabilityError
 from .poly import IntPoly
@@ -42,6 +41,52 @@ class SequenceFamily(enum.Enum):
     TRIBONACCI_LUCAS_NUMBER = "tribonacci-lucas"
     TRIBONACCI_POLY = "tribonacci-poly"
     TRIBONACCI_LUCAS_POLY = "tribonacci-lucas-poly"
+
+
+class _Frozen:
+    """Base of the slotted value types, the ones that validate or index.
+
+    A subclass names its constructor arguments in ``_fields``, declares them
+    in ``__slots__`` and sets them with ``_set`` in ``__init__``, before its
+    checks.  An instance is immutable: assignment and deletion raise
+    ``AttributeError``.  It equals an instance of the same type with an
+    equal ``_key()`` (all fields unless the subclass narrows it), hashes
+    over that key, shows as ``Type(field=value, ...)`` and pickles and
+    copies through its constructor, so the checks run on every path.
+    """
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    _key = _values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
 
 
 class _GrowingCache:
@@ -211,13 +256,13 @@ def tribonacci_lucas_poly(n: int) -> IntPoly:
     return _K_POLYS.get(n)
 
 
-@dataclass(frozen=True)
-class BinetRoots:
+class BinetRoots(NamedTuple):
     """Floating approximations to the roots of t^3 - t^2 - t - 1.
 
     ``alpha`` is the real root (~1.8392867552); ``beta``/``gamma`` are the
     conjugate pair; ``w`` is the primitive cube root of unity used by the
     radical expressions.  All values carry ``precision`` significant bits.
+    Immutable; compares and hashes as the tuple of its fields.
     """
 
     alpha: mpmath.mpc

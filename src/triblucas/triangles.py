@@ -26,10 +26,9 @@ growth recurses.  ``triangle_rows`` assembles rows from the columns.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import compress
 from math import comb
-from typing import Iterator, List, Tuple, Union
+from typing import Iterator, List, NamedTuple, Tuple, Union
 
 from .errors import DomainError, InternalConsistencyError
 from .poly import IntPoly, poly_format
@@ -46,9 +45,11 @@ class TriangleKind(enum.Enum):
     POLYNOMIALS = "polynomials"
 
 
-@dataclass(frozen=True)
-class TriangleTable:
-    """Rows 0..row_count-1 of one triangle; row n holds columns 0..n."""
+class TriangleTable(NamedTuple):
+    """Rows 0..row_count-1 of one triangle; row n holds columns 0..n.
+
+    Immutable; compares and hashes as the tuple (kind, rows).
+    """
 
     kind: TriangleKind
     rows: Tuple[Tuple[Entry, ...], ...]

@@ -29,7 +29,6 @@ from __future__ import annotations
 import decimal
 import json
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -39,6 +38,7 @@ from .errors import UnknownIdentityError
 from .poly import IntPoly, poly_format
 from .sequences import (
     MEMOS,
+    _Frozen,
     SequenceFamily,
     binet_estimate,
     tribonacci_lucas_number,
@@ -67,32 +67,33 @@ BINET_PRECISION = 64
 BINET_REL_TOL = Fraction(1, 10 ** 6)
 
 
-@dataclass(frozen=True)
-class SweepRange:
+class SweepRange(_Frozen):
     """Bounds for the verification sweeps.
 
     ``n_max`` caps the number sweeps directly; polynomial sweeps use
     min(n_max, 24) and the polynomial recurrence / partial-sum sweeps use
     min(n_max, 20), so lowering n_max shrinks everything uniformly.  The
     x points must be distinct, and without symbolic x there must be one.
+    Immutable; equal to another range with the same fields, and hashed over
+    them.  Every construction, a copy or unpickling included, runs the
+    checks; a changed range is a new ``SweepRange(...)``.
     """
 
-    n_max: int = 40
-    s_max: int = 8
-    h_max: int = 12
-    order: int = 48
-    x_points: Tuple[Fraction, ...] = (Fraction(1), Fraction(2), Fraction(1, 2))
-    include_symbolic: bool = True
+    __slots__ = _fields = ("n_max", "s_max", "h_max", "order", "x_points",
+                           "include_symbolic")
 
-    def __post_init__(self):
+    def __init__(self, n_max: int = 40, s_max: int = 8, h_max: int = 12, order: int = 48,
+                 x_points: Tuple[Fraction, ...] = (Fraction(1), Fraction(2), Fraction(1, 2)),
+                 include_symbolic: bool = True):
+        self._set(n_max, s_max, h_max, order, x_points, include_symbolic)
         for name in ("n_max", "s_max", "h_max", "order"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        xs = [Fraction(x) for x in self.x_points]
+        xs = [Fraction(x) for x in x_points]
         for k, x in enumerate(xs):
             if x in xs[:k]:
                 raise ValueError(f"x_points must be distinct, got {x} twice")
-        if not xs and not self.include_symbolic:
+        if not xs and not include_symbolic:
             raise ValueError("x_points must not be empty without symbolic x")
 
     @property
@@ -110,9 +111,11 @@ class SweepRange:
         return modes
 
 
-@dataclass(frozen=True)
-class Failure:
-    """One counterexample: parameter point plus both renderings."""
+class Failure(NamedTuple):
+    """One counterexample: parameter point plus both renderings.
+
+    Immutable; compares and hashes as the tuple of its fields.
+    """
 
     params: Tuple[Tuple[str, str], ...]
     lhs: str
@@ -122,8 +125,12 @@ class Failure:
         return {"params": dict(self.params), "lhs": self.lhs, "rhs": self.rhs}
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
+    """The outcome of one catalog id's sweep.
+
+    Immutable; compares and hashes as the tuple of its fields.
+    """
+
     id: str
     points_checked: int
     failures: Tuple[Failure, ...]
@@ -241,8 +248,12 @@ def _walk(axes, rng: SweepRange, point: dict) -> Iterator[dict]:
         yield from _walk(axes[1:], rng, point)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
+    """One checkable identity: its lattice, its sides and how to report it.
+
+    Immutable; compares and hashes as the tuple of its fields.
+    """
+
     id: str
     description: str
     formula_key: str
@@ -540,8 +551,12 @@ def reports_to_json(reports: Sequence[IdentityReport]) -> str:
 
 # -- errata -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ErrataRecord:
+class ErrataRecord(NamedTuple):
+    """One discrepancy of a printed formula, with live-computed evidence.
+
+    Immutable; compares and hashes as the tuple of its fields.
+    """
+
     key: str
     title: str
     printed: str
@@ -553,8 +568,12 @@ class ErrataRecord:
                 "corrected": self.corrected, "evidence": self.evidence}
 
 
-@dataclass(frozen=True)
-class ErrataReport:
+class ErrataReport(NamedTuple):
+    """The errata records in report order.
+
+    Immutable; compares and hashes as the tuple of its fields.
+    """
+
     records: Tuple[ErrataRecord, ...]
 
     def render(self) -> str:

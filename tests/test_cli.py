@@ -16,6 +16,7 @@ from triblucas.cli import (
     POLY_INDEX_MAX,
     SEQ_INDEX_MAX,
     TRIANGLE_INDEX_MAX,
+    X_DIGITS_MAX,
     main,
 )
 from triblucas.sequences import (
@@ -89,6 +90,9 @@ def test_seq_streams_the_per_index_values(capsys, fmt, family):
         assert out == _seq_out(fmt, family, start, end)
 
 
+X_DIGITS = f"at most {X_DIGITS_MAX} digits"
+
+
 @pytest.mark.parametrize("argv, bound", [
     (("seq", "tribonacci", "0", str(10 ** 12)), SEQ_INDEX_MAX),
     (("seq", "tribonacci-lucas", str(SEQ_INDEX_MAX + 1), str(SEQ_INDEX_MAX + 1)),
@@ -107,6 +111,14 @@ def test_seq_streams_the_per_index_values(capsys, fmt, family):
     (("verify", "--x-points", "1,1"), "x_points must be distinct, got 1 twice"),
     (("verify", "--x-points", "1,2/2", "--no-symbolic"),
      "x_points must be distinct, got 1 twice"),
+    (("incomplete", "tl", "5", "2", "--x", "1e500"), X_DIGITS),
+    (("incomplete", "tl", "5", "2", "--x", "1e10000000"), X_DIGITS),
+    (("incomplete", "tribonacci", "5", "2", "--x", "9" * (X_DIGITS_MAX + 1)), X_DIGITS),
+    (("gf", "inc-tribonacci", "24", "192", "--x", "1e20"), X_DIGITS),
+    (("gf", "inc-tl", "2", "8", f"--x=-1/1{'0' * X_DIGITS_MAX}"), X_DIGITS),
+    (("verify", "--id", "thm10-printed", "--no-symbolic", "--x-points", "1e300"), X_DIGITS),
+    (("verify", "--x-points", "1/2,1e-10"), X_DIGITS),
+    (("verify", "--x-points", ""), "not a rational number: ''"),
 ])
 def test_indices_past_the_bounds_exit_2_without_allocating(capsys, argv, bound):
     run(capsys, "seq", "tribonacci", "0", "3")   # imports and parser caches
@@ -128,25 +140,52 @@ def test_indices_past_the_bounds_exit_2_without_allocating(capsys, argv, bound):
                                             ("table", TRIANGLE_INDEX_MAX),
                                             ("incomplete", TRIANGLE_INDEX_MAX),
                                             ("gf", GF_S_MAX),
-                                            ("gf", GF_ORDER_MAX)])
+                                            ("gf", GF_ORDER_MAX),
+                                            ("incomplete", X_DIGITS_MAX),
+                                            ("gf", X_DIGITS_MAX),
+                                            ("verify", X_DIGITS_MAX)])
 def test_help_names_the_index_bounds(capsys, command, bound):
     assert main([command, "--help"]) == 0
     assert f"at most {bound}" in capsys.readouterr().out
 
 
-def _python(code: str) -> subprocess.CompletedProcess:
+def _python(*argv: str) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+    return subprocess.run([sys.executable, *argv], capture_output=True,
                           env={**os.environ, "PYTHONPATH": path})
 
 
+_X_TEN = "9999999999/9999999997"
+
+
+@pytest.mark.parametrize("argv", [
+    ("gf", "inc-tl", str(GF_S_MAX), str(GF_ORDER_MAX), "--x", _X_TEN),
+    ("gf", "inc-tribonacci", str(GF_S_MAX), str(GF_ORDER_MAX), f"--x=-{_X_TEN}"),
+    ("incomplete", "tl", str(TRIANGLE_INDEX_MAX), str(TRIANGLE_INDEX_MAX // 2), "--x", _X_TEN),
+    ("verify", "--x-points", f"{_X_TEN},-1e9,0.000000001"),
+])
+def test_ten_digit_x_values_at_the_corners_exit_0(argv):
+    # A fresh process: the gf corner fills memos of about 80 MB.
+    done = _python("-m", "triblucas.cli", *argv)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout
+
+
 def test_cli_import_does_not_load_mpmath():
-    done = _python("import sys, triblucas.cli; assert 'mpmath' not in sys.modules")
+    done = _python("-c", "import sys, triblucas.cli; assert 'mpmath' not in sys.modules")
+    assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Both cost start-up time that every command pays.
+    done = _python("-S", "-c", "import sys, triblucas.cli; "
+                   "loaded = {'dataclasses', 'inspect'} & set(sys.modules); "
+                   "assert not loaded, loaded")
     assert done.returncode == 0, done.stderr
 
 
 def test_default_verify_needs_no_mpmath():
-    done = _python("import sys; sys.modules['mpmath'] = None; from triblucas import cli; "
+    done = _python("-c", "import sys; sys.modules['mpmath'] = None; from triblucas import cli; "
                    "sys.exit(cli.main(['verify', '--format', 'json']))")
     assert done.returncode == 0, done.stderr
     assert done.stdout == (ROOT / "perfbench" / "reference"

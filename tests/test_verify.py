@@ -1,6 +1,8 @@
-import dataclasses
+import copy
 import gc
 import hashlib
+import operator
+import pickle
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -11,19 +13,27 @@ import pytest
 from triblucas import genfunc as gf
 from triblucas import incomplete as inc
 from triblucas import verify
-from triblucas.errors import UnknownIdentityError
+from triblucas.errors import DomainError, ExpansionError, UnknownIdentityError
 from triblucas.sequences import (
     MEMOS,
+    BinetRoots,
     SequenceFamily,
     binet_estimate,
     tribonacci_lucas_number,
     tribonacci_number,
 )
+from triblucas.triangles import TriangleKind, TriangleTable
 from triblucas.verify import (
     BINET_PRECISION,
     EXPECTED_FAIL,
     FAIL,
     PASS,
+    CatalogEntry,
+    ErrataRecord,
+    ErrataReport,
+    Failure,
+    IdentityReport,
+    Span,
     SweepRange,
     errata_report,
     list_identities,
@@ -154,12 +164,12 @@ def test_determinism_byte_identical_json():
     # Pinned bytes: a refactor of the sweep machinery must not move them.
     assert _sha256(first) == (
         "3b78f1f5a11cf1e7f7d38980f3b2091d1cb9716cb1d2b77a9ccd6d9e40abd379")
-    other_x = dataclasses.replace(
-        SMALL, x_points=(Fraction(3, 5), Fraction(-2), Fraction(7, 3)))
+    other_x = SweepRange(n_max=10, s_max=2, h_max=4, order=12,
+                         x_points=(Fraction(3, 5), Fraction(-2), Fraction(7, 3)))
     assert _sha256(reports_to_json(run_all(other_x))) == (
         "d025ae1bf92ae68a286739f6720d66ae7d994ca724913fcdcf4dcaf1330c06f8")
     # Without the symbolic mode the gf ids walk the rational x values only.
-    no_symbolic = dataclasses.replace(SMALL, include_symbolic=False)
+    no_symbolic = SweepRange(n_max=10, s_max=2, h_max=4, order=12, include_symbolic=False)
     assert _sha256(reports_to_json(run_all(no_symbolic))) == (
         "d4a2cd021b6b951219652de8c23d6bc200a0ee3df6fb1d63381a1c50dc784f4d")
     # Denominators above 2 at a wider range reach the common-denominator
@@ -314,3 +324,82 @@ def test_run_all_builds_each_series_entry_once(case, built, monkeypatch):
     counts = Counter(created)
     assert len(counts) == built
     assert max(counts.values()) == 1
+
+
+# The 13 record types: each builds one value from fresh, equal fields.
+RECORD = ErrataRecord("k", "title", "printed", "corrected", "evidence")
+VALUES = {
+    "BinetRoots": lambda: BinetRoots(Fraction(1), 2, 3, 4, 64),
+    "TriangleTable": lambda: TriangleTable(TriangleKind.NUMBERS, ((3,), (0, 2))),
+    "IncompleteIndex": lambda: inc.IncompleteIndex(6, 3, inc.IncompleteFamily.INC_TRIBONACCI_LUCAS),
+    "PowerSeries": lambda: gf.PowerSeries((1, Fraction(1, 2))),
+    "RationalGF": lambda: gf.RationalGF((1,), (1, -1), 2),
+    "Lemma9Spec": lambda: gf.Lemma9Spec(1, 1, 1, 3, 1, 3),
+    "GFComparison": lambda: gf.GFComparison(inc.IncompleteFamily.INC_TRIBONACCI, 0,
+                                            gf.GFVariant.CORRECTED, None, 2,
+                                            gf.PowerSeries((0, 1)), ()),
+    "SweepRange": lambda: SweepRange(n_max=5, x_points=(Fraction(3), Fraction(1, 3))),
+    "Failure": lambda: Failure((("n", "3"),), "1", "2"),
+    "IdentityReport": lambda: IdentityReport("eq2.2", 3, (), 0, PASS, "domain: 1 <= n <= 3"),
+    "CatalogEntry": lambda: CatalogEntry("id", "description", "key", (Span("n", 1, 3),),
+                                         operator.add),
+    "ErrataRecord": lambda: ErrataRecord(*RECORD),
+    "ErrataReport": lambda: ErrataReport((RECORD, RECORD)),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_record_types_are_immutable_values(name):
+    a, b = VALUES[name](), VALUES[name]()
+    assert type(a).__name__ == name and a is not b
+    assert a == b and hash(a) == hash(b)
+    assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    first = type(a)._fields[0]
+    for attr in (first, "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(a, attr, None)
+    with pytest.raises(AttributeError):
+        delattr(a, first)
+    text = repr(a)
+    assert text.startswith(f"{name}(")
+    assert all(f"{field}=" in text for field in type(a)._fields)
+
+
+def test_rational_gf_equality_ignores_factors():
+    q = gf.q_gf(2)
+    plain = gf.RationalGF(q.numerator, q.denominator, q.shift)
+    assert q.factors and not plain.factors
+    assert q == plain and hash(q) == hash(plain)
+    assert q != gf.RationalGF(q.numerator, q.denominator, q.shift + 1)
+
+
+@pytest.mark.parametrize("cls, bad", [
+    (SweepRange, (0, 8, 12, 48, (1, 2), True)),
+    (SweepRange, (40, 8, 12, 0, (1, 2), True)),
+    (SweepRange, (40, 8, 12, 48, (1, Fraction(2, 2)), True)),
+    (SweepRange, (40, 8, 12, 48, (), False)),
+    (inc.IncompleteIndex, (6, 3, inc.IncompleteFamily.INC_TRIBONACCI)),
+    (inc.IncompleteIndex, (0, 0, inc.IncompleteFamily.INC_TRIBONACCI)),
+    (gf.RationalGF, ((1,), (2, 1), 0, ())),
+    (gf.RationalGF, ((1,), (), 0, ())),
+    (gf.RationalGF, ((1,), (1, -1), -1, ())),
+    (gf.RationalGF, ((1,), (1, -1), 0, ((1, 1),))),
+    (gf.RationalGF, ((1,), (2, 2), 0, ((2, 2),))),
+])
+def test_validating_types_check_every_construction(cls, bad):
+    errors = (ValueError, DomainError, ExpansionError)
+    with pytest.raises(errors):
+        cls(*bad)
+    with pytest.raises(errors):
+        cls(**dict(zip(cls._fields, bad)))
+    # No tuple-style path builds one around the checks, and a copy or an
+    # unpickled value is rebuilt through them: fields forced in past the
+    # constructor are refused there.
+    assert not hasattr(cls, "_replace") and not hasattr(cls, "_make")
+    forged = object.__new__(cls)
+    for field, value in zip(cls._fields, bad):
+        object.__setattr__(forged, field, value)
+    with pytest.raises(errors):
+        copy.copy(forged)
+    with pytest.raises(errors):
+        pickle.loads(pickle.dumps(forged))
