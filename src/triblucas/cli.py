@@ -12,7 +12,9 @@ index above ``POLY_INDEX_MAX``, a ``table --rows`` count or an
 ``--x-points`` value with more than ``X_DIGITS_MAX`` digits in its numerator
 or denominator, each rejected before any work), 3 internal error (an
 unexpected exception, reported as one ``error: internal: <Type>: <message>``
-line on stderr).  All output is UTF-8 with "\\n" newlines and deterministic.
+line on stderr), 141 (128 + SIGPIPE) when the reader of stdout closes the
+pipe early, as ``| head`` does, with nothing on stderr.  All output is UTF-8
+with "\\n" newlines and deterministic.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -434,6 +437,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except BrokenPipeError:
+        raise
     except Exception as exc:
         message = str(exc).replace("\n", " ")
         sys.stderr.write(f"error: internal: {type(exc).__name__}: {message}\n")
@@ -441,7 +446,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone: send what is left in the buffer to devnull, so
+        # the flush at exit cannot fail again, and exit as SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -13,8 +13,8 @@ homomorphism that keeps the unit constant term, so it commutes with
 clearing and with expansion.
 
 Expansion keeps one body per pair, the longest computed so far: a shorter
-order is a prefix of it, and a longer one resumes the division from its last
-coefficients.  Every term of the Q_s and W_s factors has coefficient -1, so
+order is a prefix of it, and a longer one resumes the division from the state
+kept with it.  Every term of the Q_s and W_s factors has coefficient -1, so
 the symbolic division adds shifted coefficient lists without multiplying.
 Those lists are graded: every term x^a z^k of a Q_s or W_s pair has
 a + k in one class mod 3 (the factors' terms have weight 0 mod 3), so the
@@ -60,7 +60,7 @@ from math import comb, gcd, lcm
 from operator import add, sub
 from typing import NamedTuple, Optional, Tuple, Union
 
-from .errors import DomainError, ExpansionError
+from .errors import DomainError, ExpansionError, InternalConsistencyError
 from .incomplete import (
     IncompleteFamily,
     incomplete_tl_poly,
@@ -213,14 +213,17 @@ def series_expand(gf: RationalGF, order: int) -> PowerSeries:
     z^shift prefactor and re-truncates.  Each pair and coefficient kind
     keeps one memoised body, the longest expanded so far: an order at or
     below its length is served as a slice of it, and a longer one continues
-    the division from its last coefficients instead of from z^0.  The body
-    is a ``sequences._GrowingCache``: it grows in place under its own lock,
-    so threads that grow one pair at once compute it once, and it never
-    gets shorter.  The bodies sit in the dict ``genfunc.series_expand`` of
-    the memo registry ``sequences.MEMOS``, keyed by :func:`series_key`;
-    ``verify.run_all`` drops the bodies it created after the last id that
-    reads them, and a library session keeps them.  Both kernels accumulate
-    in ``int``:
+    the division instead of starting from z^0.  The body is a
+    ``sequences._GrowingCache``: it grows in place under its own lock, so
+    threads that grow one pair at once compute it once, and it never gets
+    shorter.  The ``partial`` that grows it keeps the kernel's state: the
+    length it stands at and the last values the recurrence reads.  A kernel
+    starts over on an empty body and raises ``InternalConsistencyError`` on
+    a state out of step with its body.  The bodies sit in the dict
+    ``genfunc.series_expand`` of the registry ``sequences.MEMOS``, keyed by
+    :func:`series_key`; ``verify.run_all`` drops the bodies it created after
+    the last id that reads them, and a library session keeps them.  Both
+    kernels accumulate in ``int``:
 
     - a pair with ``IntPoly`` coefficients (``int`` ones are promoted)
       divides by each of its ``factors`` in turn, or by the denominator when
@@ -236,14 +239,13 @@ def series_expand(gf: RationalGF, order: int) -> PowerSeries:
       the coefficients of x^(rho_k + 3b), rho_k = (r + t k) mod 3, and a
       factor term x^e z^j adds list k - j at offset
       (rho_(k-j) + e - rho_k) / 3.  Any other pair runs with g = 1.
-      To resume, each pass's last len(f) - 1 outputs are rebuilt from the
-      body by multiplying it back by the later factors (p_(i-1) = f_i p_i);
+      The state keeps each pass's last len(f) - 1 outputs;
     - an ``int``/``Fraction`` pair runs
       P_k = c m^k num_k - sum_j (m^j den_j) P_(k-j) on integers, with m and
       c built from the coefficient denominators so that every m^j den_j
       and c m^k num_k is an integer, and builds each coefficient
-      P_k / (c m^k) as one ``Fraction``.  To resume, P_k is rebuilt as
-      c m^k p_k from the body's last len(den) - 1 coefficients.
+      P_k / (c m^k) as one ``Fraction``.  The state keeps the last
+      len(den) - 1 values P_k.
 
     ``int`` pairs give ``int`` coefficients and pairs holding a ``Fraction``
     give ``Fraction`` ones.
@@ -255,10 +257,11 @@ def series_expand(gf: RationalGF, order: int) -> PowerSeries:
     length = max(0, order - gf.shift)
     body = _expansions.get(key)
     if body is None:
+        state = [0, None]
         if kind is IntPoly:
-            grow = partial(_grow_polys, gf.numerator, gf.factors or (gf.denominator,))
+            grow = partial(_grow_polys, gf.numerator, gf.factors or (gf.denominator,), state)
         else:
-            grow = partial(_grow_scalars, gf.numerator, gf.denominator,
+            grow = partial(_grow_scalars, gf.numerator, gf.denominator, state,
                            fraction=kind is Fraction)
         body = _expansions.setdefault(key, _GrowingCache([], grow))
     coeffs = body.grow(length)[:length]
@@ -320,9 +323,9 @@ def _classes(zpoly, g: int) -> set:
     return {(k, a) for k, c in enumerate(zpoly) for a in range(g) if any(_ints(c)[a::g])}
 
 
-def _terms(den, sign: int, rho: list) -> list:
+def _terms(den, rho: list) -> list:
     # For each residue of k mod g = len(rho): (j, nonzero (offset,
-    # sign * coefficient) terms of den_j), ascending in j.  A term x^e of
+    # coefficient) terms of den_j), ascending in j.  A term x^e of
     # den_j adds list k - j into list k at offset (rho_(k-j) + e - rho_k) / g,
     # which the grading makes exact and >= 0.
     g = len(rho)
@@ -331,7 +334,7 @@ def _terms(den, sign: int, rho: list) -> list:
         terms = []
         for j in range(1, len(den)):
             back = rho[(phase - j) % g] - rho[phase]
-            nonzero = [((e + back) // g, sign * c) for e, c in enumerate(_ints(den[j])) if c]
+            nonzero = [((e + back) // g, c) for e, c in enumerate(_ints(den[j])) if c]
             if nonzero:
                 terms.append((j, nonzero))
         tables.append(terms)
@@ -363,55 +366,52 @@ def _fold(acc: list, terms, src, r: int) -> list:
     return acc
 
 
-def _grow_polys(num, factors, body: list, length: int) -> None:
+def _resume(state: list, start: int, empty):
+    # state = [position, tails]; kernels set it only once the body is extended.
+    if start and state[0] != start:
+        raise InternalConsistencyError(
+            f"series state stands at position {state[0]}, its body at {start}")
+    return state[1] if start else empty
+
+
+def _grow_polys(num, factors, state: list, body: list, length: int) -> None:
     # Appends positions len(body)..length-1 to body.  The list at position k
     # holds only the coefficients of x^(rho_k + g b), rho_k = (r + t k) mod g
-    # (see _grading); every pass keeps that grading.  Each distinct factor's
-    # term tables are built once.
+    # (see _grading); every pass keeps that grading and reads of its past only
+    # its last len(f) - 1 outputs, kept in state.  IntPolys are spread out once.
+    start = len(body)
+    tails = _resume(state, start, [[] for _ in factors])
     distinct = list(dict.fromkeys(factors))
     g, t, r = _grading(num, distinct)
     rho = [(r + t * k) % g for k in range(g)]
-    # Every list below that holds a pass's outputs ends at position
-    # start = len(body), so the one at index i holds position
-    # start - len(list) + i.  Rebuild, for the passes from the last back to
-    # the first, each pass's outputs at the last len(f) - 1 positions; the
-    # window of outputs read shrinks by len(f) - 1 per pass.
-    start = len(body)
-    need = sum(len(den) - 1 for den in factors)
-    first = max(0, start - need)
-    window = [c.coeffs[rho[k % g]::g] for k, c in enumerate(body[first:], first)]
-    tails = []
-    backs = {den: _terms(den, -1, rho) for den in distinct}
-    for den in reversed(factors):
-        need -= len(den) - 1
-        tails.append(window[max(0, len(window) - (len(den) - 1)):])
-        back, base = backs[den], start - len(window)
-        window = [_fold(list(window[i]), back[(base + i) % g], window, i)
-                  for i in range(len(window) - min(start, need), len(window))]
-    # Then run every pass over the new positions only.  IntPolys are spread
-    # out once, from the last pass.
     heads = [list(_ints(c)[rho[k % g]::g]) for k, c in enumerate(num[start:length], start)]
-    tables = {den: _terms(den, 1, rho) for den in distinct}
-    for den, out in zip(factors, reversed(tails)):
+    tables = {den: _terms(den, rho) for den in distinct}
+    kept = []
+    for den, tail in zip(factors, tails):
         terms = tables[den]
-        done = len(out)
+        out = list(tail)
         for i in range(length - start):
             acc = heads[i] if i < len(heads) else []
             out.append(_fold(acc, terms[(start + i) % g], out, len(out)))
-        heads = out[done:]
+        heads = out[len(tail):]
+        # copied, as the next pass adds into its inputs in place
+        kept.append([list(p) for p in out[max(0, len(out) - (len(den) - 1)):]])
+    new = []
     for k, packed in enumerate(heads, start):
         # _fold popped the trailing zeros, so the last x-power set is nonzero
         full = [0] * (rho[k % g] + g * (len(packed) - 1) + 1)
         full[rho[k % g]::g] = packed
-        body.append(_canonical(tuple(full)))
+        new.append(_canonical(tuple(full)))
+    body.extend(new)
+    state[:] = length, kept
 
 
-def _grow_scalars(num, den, body: list, length: int, fraction: bool) -> None:
+def _grow_scalars(num, den, state: list, body: list, length: int, fraction: bool) -> None:
     # Appends positions len(body)..length-1 to body.  With P_k = c m^k p_k the
     # recurrence runs on integers once every m^j den_j and c m^k num_k is one.
     # m takes from each den_j only the part of its denominator that m^j lacks,
     # so denominators q^(2j), as at x = p/q, give m = q^2 and P_k stays near the
-    # size of p_k itself.
+    # size of p_k itself.  state keeps the last len(den) - 1 values P_k.
     m = 1
     for j in range(1, len(den)):
         e = den[j].denominator
@@ -422,13 +422,10 @@ def _grow_scalars(num, den, body: list, length: int, fraction: bool) -> None:
         c = lcm(c, e // gcd(e, m ** k))
     terms = [(j, d.numerator * (m ** j // d.denominator))    # ascending in j
              for j, d in enumerate(den) if j and d]
-    # P_k rebuilt at the body's last len(den) - 1 positions; P[r] holds
-    # position start - len(P) + r, as in _grow_polys.
     start = len(body)
-    first = max(0, start - (len(den) - 1))
-    P = [a.numerator * (c * m ** k // a.denominator)
-         for k, a in enumerate(body[first:], first)]
+    P = list(_resume(state, start, ()))
     scale = c * m ** start        # c m^k
+    new = []
     for k in range(start, length):
         acc = num[k].numerator * (scale // num[k].denominator) if k < len(num) else 0
         r = len(P)
@@ -437,8 +434,10 @@ def _grow_scalars(num, den, body: list, length: int, fraction: bool) -> None:
                 break
             acc -= t * P[r - j]
         P.append(acc)
-        body.append(Fraction(acc, scale) if fraction else acc)
+        new.append(Fraction(acc, scale) if fraction else acc)
         scale *= m
+    body.extend(new)
+    state[:] = length, P[max(0, len(P) - (len(den) - 1)):]
 
 
 # -- generic non-homogeneous third-order clearing -----------------------------

@@ -114,16 +114,12 @@ def incomplete_tribonacci_poly(n: int, s: int) -> IntPoly:
 
 
 @cached
-def _level_sums(family: IncompleteFamily, n: int) -> Tuple[int, ...]:
-    # (F_n(0), ..., F_n(max_level)) for the number family F: running sums of
-    # the levels of n's double sum, at x = 1.
-    top = max_level(family, n)
-    if family is IncompleteFamily.INC_TRIBONACCI:
-        levels = (sum(coeff for _, coeff in _tribonacci_level(n, i))
-                  for i in range(top + 1))
-    else:
-        levels = (triangle_entry_number(n - i, i) for i in range(top + 1))
-    return tuple(accumulate(levels))
+def _tribonacci_level_sums(n: int) -> Tuple[int, ...]:
+    # (T_n(0), ..., T_n(max_level)): running sums of the levels of n's double
+    # sum, at x = 1.
+    top = max_level(IncompleteFamily.INC_TRIBONACCI, n)
+    return tuple(accumulate(sum(coeff for _, coeff in _tribonacci_level(n, i))
+                            for i in range(top + 1)))
 
 
 @cached
@@ -133,7 +129,7 @@ def incomplete_tribonacci_number(n: int, s: int) -> int:
     Read from the memoised running level sums T_n(0), T_n(1), ... of n.
     """
     check_domain(IncompleteFamily.INC_TRIBONACCI, n, s)
-    return _level_sums(IncompleteFamily.INC_TRIBONACCI, n)[s]
+    return _tribonacci_level_sums(n)[s]
 
 
 @cached
@@ -168,13 +164,21 @@ def incomplete_tl_poly_row(n: int) -> Iterator[IntPoly]:
 
 
 @cached
+def _tl_level_sums(n: int) -> Tuple[int, ...]:
+    # (K_n(0), ..., K_n(max_level)): running sums of the number triangle's
+    # entries B(n-i, i), i = 0, 1, ...
+    top = max_level(IncompleteFamily.INC_TRIBONACCI_LUCAS, n)
+    return tuple(accumulate(triangle_entry_number(n - i, i) for i in range(top + 1)))
+
+
+@cached
 def incomplete_tl_number(n: int, s: int) -> int:
     """K_n(s) = K_n^(s)(1): the level-s partial sum of the number triangle.
 
     Read from the memoised running sums K_n(0), K_n(1), ... of n.
     """
     check_domain(IncompleteFamily.INC_TRIBONACCI_LUCAS, n, s)
-    return _level_sums(IncompleteFamily.INC_TRIBONACCI_LUCAS, n)[s]
+    return _tl_level_sums(n)[s]
 
 
 # Boundary closed forms read off the first/last columns of the incomplete

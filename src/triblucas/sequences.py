@@ -118,6 +118,7 @@ class _GrowingCache:
         values = self._values
         if len(values) < count:
             with self._lock:
+                values = self._values    # a clear() may have replaced it
                 if len(values) < count:
                     self._extend(values, count)
         return values

@@ -20,8 +20,17 @@ whose printed statements disagree with direct enumeration (the z^2
 numerator term of the incomplete-Tribonacci generating function, and the
 unshifted variant of its x = 1 specialization).  The suite treats an
 unexpected pass of those ids as a failure, because it would mean the
-faithful reproduction is broken.  No entry computes both sides of an
-identity through the same code path.
+faithful reproduction is broken.
+
+Each entry is of one of two kinds.  A *relation* entry (``eq3.7``,
+``eq3.8``, ``eq3.9``, ``eq3.10``, ``eq1.5`` and ``thm5``) checks a
+recurrence or partial-sum relation among values of one function
+(``incomplete_tl_poly``, ``incomplete_tl_number`` or
+``incomplete_tribonacci_poly``) at other indices, so both sides read that
+function; its values come from the double sums and triangles, never from
+the relation.  Every other entry is a *two-path* entry: it compares a
+closed form with a recurrence or a definition, and computes its two sides
+through separate code.
 """
 
 from __future__ import annotations

@@ -146,13 +146,17 @@ def test_indices_past_the_bounds_exit_2_without_allocating(capsys, argv, bound):
                                             ("verify", X_DIGITS_MAX)])
 def test_help_names_the_index_bounds(capsys, command, bound):
     assert main([command, "--help"]) == 0
-    assert f"at most {bound}" in capsys.readouterr().out
+    # argparse wraps help at the terminal width, so compare across line breaks.
+    assert f"at most {bound}" in " ".join(capsys.readouterr().out.split())
+
+
+def _env() -> dict:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def _python(*argv: str) -> subprocess.CompletedProcess:
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *argv], capture_output=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, *argv], capture_output=True, env=_env())
 
 
 _X_TEN = "9999999999/9999999997"
@@ -182,6 +186,18 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
                    "loaded = {'dataclasses', 'inspect'} & set(sys.modules); "
                    "assert not loaded, loaded")
     assert done.returncode == 0, done.stderr
+
+
+def test_a_reader_that_closes_the_pipe_gets_exit_141_and_no_error():
+    # As `seq ... | head -1`: about 2 MB of output, read for one line only.
+    proc = subprocess.Popen([sys.executable, "-m", "triblucas.cli", "seq", "tribonacci",
+                             "0", "4000", "--format", "bfile"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env())
+    assert proc.stdout.readline() == b"0 0\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 def test_default_verify_needs_no_mpmath():

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from triblucas import genfunc
-from triblucas.errors import DomainError, ExpansionError
+from triblucas.errors import DomainError, ExpansionError, InternalConsistencyError
 from triblucas.genfunc import (
     GFVariant,
     Lemma9Spec,
@@ -24,6 +24,7 @@ from triblucas.genfunc import (
     q_gf,
     q_gf_numbers_unshifted,
     series_expand,
+    series_key,
     w_gf,
 )
 from triblucas.incomplete import (
@@ -549,6 +550,37 @@ def test_expansion_memo_keeps_one_body_per_pair():
     assert series_expand(gf, 64).coeffs[gf.shift:] == tuple(body[:64 - gf.shift])
 
 
+@pytest.mark.parametrize("gf", [q_gf(4), w_gf(5), q_gf(3, GFVariant.CORRECTED, Fraction(2, 3))],
+                         ids=["Q", "W", "Fraction"])
+def test_kept_division_state_stays_short_and_in_step_with_its_body(gf):
+    # The kernel keeps only what its recurrence reads of the past: per pass,
+    # the last len(f) - 1 outputs (or the last len(den) - 1 values P_k).
+    BODIES.clear()
+    fresh = series_expand(gf, 96).coeffs
+    BODIES.clear()
+    longest = 0
+    for order in (32, 96, 64):
+        longest = max(longest, order)
+        assert series_expand(gf, order).coeffs == fresh[:order]
+        body = BODIES[series_key(gf)]
+        _, dens, (position, tails) = body._extend.args
+        assert position == len(body) == longest - gf.shift
+        if series_key(gf)[1] is IntPoly:
+            assert len(tails) == len(dens) == len(gf.factors)
+            assert all(len(tail) == len(f) - 1 for f, tail in zip(dens, tails))
+        else:
+            assert len(tails) == len(dens) - 1
+    # A cleared body starts the division over.
+    body.clear()
+    assert series_expand(gf, 64).coeffs == fresh[:64]
+    assert body._extend.args[2][0] == len(body) == 64 - gf.shift
+    # A state out of step with its body fails loudly.
+    body._values.pop()
+    with pytest.raises(InternalConsistencyError):
+        series_expand(gf, 96)
+    BODIES.clear()
+
+
 @pytest.mark.parametrize("first", [32, 96])
 def test_threads_growing_one_pair_run_the_kernel_once_per_extension(first):
     # The first thread holds the body's lock inside a slowed kernel while the
@@ -560,11 +592,11 @@ def test_threads_growing_one_pair_run_the_kernel_once_per_extension(first):
     BODIES.clear()
     kernel, calls, entered = genfunc._grow_polys, [], threading.Event()
 
-    def slow_kernel(num, factors, body, length):
+    def slow_kernel(num, factors, state, body, length):
         calls.append((len(body), length))
         entered.set()
         time.sleep(0.2)
-        return kernel(num, factors, body, length)
+        return kernel(num, factors, state, body, length)
 
     results = []
 
@@ -590,8 +622,8 @@ def test_threads_growing_one_pair_run_the_kernel_once_per_extension(first):
 
 def test_threads_growing_one_memo_read_only_whole_bodies():
     # A body grows in place under its lock and never gets shorter, so a
-    # thread reading while another grows, or clears, the memo still gets a
-    # full prefix.
+    # thread reading while another grows, or clears, the memo or one body
+    # still gets a full prefix.
     pairs = [q_gf(3), q_gf(7, GFVariant.AS_PRINTED), w_gf(4, Fraction(1, 2))]
     fresh = {}
     for gf in pairs:
@@ -605,8 +637,14 @@ def test_threads_growing_one_memo_read_only_whole_bodies():
             if rng.random() < 0.2:
                 BODIES.clear()
             gf, order = rng.choice(pairs), rng.choice((8, 20, 40, 64))
-            if series_expand(gf, order).coeffs != fresh[gf][:order]:
-                errors.append((gf, order))
+            body = BODIES.get(series_key(gf))
+            if body is not None and rng.random() < 0.2:
+                body.clear()
+            try:
+                if series_expand(gf, order).coeffs != fresh[gf][:order]:
+                    errors.append((gf, order))
+            except Exception as exc:    # a raise in a thread would pass unseen
+                errors.append(exc)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -253,7 +253,7 @@ def test_the_registry_names_every_memo():
             if hasattr(value, "cache_info") or isinstance(value, sequences._GrowingCache):
                 assert id(value) in registered, (module.__name__, name)
     assert {id(genfunc._expansions), id(genfunc._direct)} <= registered
-    assert len(sequences.MEMOS) == 19
+    assert len(sequences.MEMOS) == 20
     for memo in sequences.MEMOS.values():
         memo.clear()
     seeded = {name: len(memo) for name, memo in sequences.MEMOS.items() if len(memo)}
