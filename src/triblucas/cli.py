@@ -5,16 +5,21 @@ families), ``table`` (the four reference tables), ``incomplete`` (incomplete
 values, optionally evaluated at a rational x), ``gf`` (generating-function
 expansion with a matches-direct comparator verdict) and ``verify`` (the
 identity suite).  Exit codes: 0 success, 1 verification failure, 2 usage
-error (including a ``seq`` index above ``SEQ_INDEX_MAX``, a ``poly``
-index above ``POLY_INDEX_MAX``, a ``table --rows`` count or an
-``incomplete`` index above ``TRIANGLE_INDEX_MAX``, or a ``gf`` level above
-``GF_S_MAX`` or order above ``GF_ORDER_MAX``, or a rational ``--x`` or
-``--x-points`` value with more than ``X_DIGITS_MAX`` digits in its numerator
-or denominator, each rejected before any work), 3 internal error (an
-unexpected exception, reported as one ``error: internal: <Type>: <message>``
-line on stderr), 141 (128 + SIGPIPE) when the reader of stdout closes the
-pipe early, as ``| head`` does, with nothing on stderr.  All output is UTF-8
-with "\\n" newlines and deterministic.
+error, 3 internal error, 141 (128 + SIGPIPE) when the reader of stdout
+closes the pipe early, as ``| head`` does, with nothing on stderr.
+
+Every usage error, argparse's own included, is a ``DomainError`` that
+``main`` reports as one ``error: <message>`` line on stderr, before any
+work.  Each index bound (``SEQ_INDEX_MAX``, ``POLY_INDEX_MAX``,
+``TRIANGLE_INDEX_MAX``, ``GF_S_MAX``, ``GF_ORDER_MAX``) is declared once,
+on the argument that takes it, and argparse checks it; the help names it.
+The handlers check only what relates two arguments (``from <= to``) and
+the ``verify --id`` catalog ids, and parse rational ``--x`` and
+``--x-points`` values, refusing more than ``X_DIGITS_MAX`` digits in a
+numerator or denominator.  Family, level, variant, order and sweep-range
+domains are the library's own checks.  An internal error, any other
+exception, is one ``error: internal: <Type>: <message>`` line.  All output
+is UTF-8 with "\\n" newlines and deterministic.
 """
 
 from __future__ import annotations
@@ -60,26 +65,26 @@ GF_ORDER_MAX = 192
 X_DIGITS_MAX = 10
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _compact_json(payload) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
 def _digits(text: str) -> int:
-    return len(text.lstrip("+-").replace("_", "").lstrip("0"))
+    return len(text.lstrip("+-").lstrip("0"))
 
 
 def _parse_fraction(text: str) -> Fraction:
     """``text`` as a Fraction, refused before one is built when its numerator
     or denominator as written (p/q, or a decimal with its exponent applied,
-    unreduced) has more than ``X_DIGITS_MAX`` digits."""
+    unreduced) has more than ``X_DIGITS_MAX`` digits.  An underscore or a
+    space inside the number is refused on every Python version, as
+    ``Fraction`` refuses them before 3.11 and 3.12."""
     mantissa, _, exponent = text.strip().lower().partition("e")
     num, slash, den = mantissa.partition("/")
     whole, _, frac = num.partition(".")
     try:
+        if "_" in text or len(text.split()) != 1:
+            raise ValueError(text)
         shift = int(exponent or 0) - len(frac)
         if slash:
             sizes = (_digits(num), _digits(den))
@@ -88,8 +93,8 @@ def _parse_fraction(text: str) -> Fraction:
         if max(sizes) <= X_DIGITS_MAX:
             return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise _UsageError(f"not a rational number: {text!r}")
-    raise _UsageError(f"rational x must have at most {X_DIGITS_MAX} digits in its "
+        raise DomainError(f"not a rational number: {text!r}") from None
+    raise DomainError(f"rational x must have at most {X_DIGITS_MAX} digits in its "
                       f"numerator and denominator, got {text!r}")
 
 
@@ -110,10 +115,8 @@ def _seq_values(func, start: int, end: int):
 
 
 def _cmd_seq(args) -> int:
-    if args.start < 0 or args.start > args.end:
-        raise _UsageError(f"need 0 <= from <= to, got {args.start}..{args.end}")
-    if args.end > SEQ_INDEX_MAX:
-        raise _UsageError(f"to must be <= {SEQ_INDEX_MAX}, got {args.end}")
+    if args.start > args.end:
+        raise DomainError(f"need from <= to, got {args.start}..{args.end}")
     indices = range(args.start, args.end + 1)
     values = _seq_values(_NUMBER_FAMILIES[args.family], args.start, args.end)
     write = sys.stdout.write
@@ -141,25 +144,24 @@ _POLY_FAMILIES = {
 }
 
 
-def _poly_csv(p: IntPoly) -> str:
-    rows = "".join(f"{k},{c}\n" for k, c in enumerate(p.coeffs))
+def _power_csv(coeffs) -> str:
+    rows = "".join(f"{k},{c}\n" for k, c in enumerate(coeffs))
     return "power,coefficient\n" + rows
 
 
-def _cmd_poly(args) -> int:
-    if args.n < 0:
-        raise _UsageError(f"index must be nonnegative, got {args.n}")
-    if args.n > POLY_INDEX_MAX:
-        raise _UsageError(f"index must be <= {POLY_INDEX_MAX}, got {args.n}")
-    p = _POLY_FAMILIES[args.family](args.n)
-    if args.format == PLAIN:
+def _write_poly(p: IntPoly, fmt: str) -> int:
+    if fmt == PLAIN:
         out = poly_format(p) + "\n"
-    elif args.format == CSV:
-        out = _poly_csv(p)
+    elif fmt == CSV:
+        out = _power_csv(p.coeffs)
     else:
         out = _compact_json({"coeffs": [str(c) for c in p.coeffs]}) + "\n"
     sys.stdout.write(out)
     return 0
+
+
+def _cmd_poly(args) -> int:
+    return _write_poly(_POLY_FAMILIES[args.family](args.n), args.format)
 
 
 # -- table ---------------------------------------------------------------------
@@ -182,10 +184,6 @@ def _table_rows(which: int, rows: int):
 
 
 def _cmd_table(args) -> int:
-    if args.rows < 1:
-        raise _UsageError(f"rows must be >= 1, got {args.rows}")
-    if args.rows > TRIANGLE_INDEX_MAX:
-        raise _UsageError(f"rows must be <= {TRIANGLE_INDEX_MAX}, got {args.rows}")
     label, first, body = _table_rows(args.which, args.rows)
     if args.format == PLAIN:
         width = max(len(row) for row in body)
@@ -216,28 +214,17 @@ _INCOMPLETE_FAMILIES = {
 
 
 def _cmd_incomplete(args) -> int:
-    if args.n > TRIANGLE_INDEX_MAX:
-        raise _UsageError(f"index must be <= {TRIANGLE_INDEX_MAX}, got {args.n}")
     x = _parse_fraction(args.x) if args.x is not None else None
-    try:
-        p = _INCOMPLETE_FAMILIES[args.family](args.n, args.s)
-    except DomainError as exc:
-        raise _UsageError(str(exc))
-    if x is not None:
-        value = p.evaluate(x)
-        if args.format == PLAIN:
-            out = f"{value}\n"
-        elif args.format == CSV:
-            out = f"value\n{value}\n"
-        else:
-            out = _compact_json({"value": str(value)}) + "\n"
+    p = _INCOMPLETE_FAMILIES[args.family](args.n, args.s)
+    if x is None:
+        return _write_poly(p, args.format)
+    value = p.evaluate(x)
+    if args.format == PLAIN:
+        out = f"{value}\n"
+    elif args.format == CSV:
+        out = f"value\n{value}\n"
     else:
-        if args.format == PLAIN:
-            out = poly_format(p) + "\n"
-        elif args.format == CSV:
-            out = _poly_csv(p)
-        else:
-            out = _compact_json({"coeffs": [str(c) for c in p.coeffs]}) + "\n"
+        out = _compact_json({"value": str(value)}) + "\n"
     sys.stdout.write(out)
     return 0
 
@@ -256,19 +243,8 @@ _VARIANT_FLAGS = {
 
 
 def _cmd_gf(args) -> int:
-    if args.s > GF_S_MAX:
-        raise _UsageError(f"s must be <= {GF_S_MAX}, got {args.s}")
-    if args.order > GF_ORDER_MAX:
-        raise _UsageError(f"order must be <= {GF_ORDER_MAX}, got {args.order}")
     family = _GF_FAMILIES[args.family]
     variant = _VARIANT_FLAGS[args.variant]
-    if family is incomplete.IncompleteFamily.INC_TRIBONACCI_LUCAS:
-        if args.s < 1:
-            raise _UsageError("the inc-tl generating function needs s >= 1")
-        if variant is not genfunc.GFVariant.CORRECTED:
-            raise _UsageError("only the corrected variant exists for inc-tl")
-    if args.order < 1:
-        raise _UsageError(f"order must be >= 1, got {args.order}")
     x = _parse_fraction(args.x) if args.x is not None else None
     comparison = genfunc.gf_vs_direct(family, args.s, variant, x, args.order)
     rendered = [genfunc.render_coeff(c) for c in comparison.series.coeffs]
@@ -276,8 +252,7 @@ def _cmd_gf(args) -> int:
     if args.format == PLAIN:
         out = "[" + ",".join(rendered) + f"], matches_direct={verdict}\n"
     elif args.format == CSV:
-        rows = "".join(f"{k},{c}\n" for k, c in enumerate(rendered))
-        out = "power,coefficient\n" + rows + f"matches_direct,{verdict}\n"
+        out = _power_csv(rendered) + f"matches_direct,{verdict}\n"
     else:
         out = _compact_json({
             "family": args.family, "s": args.s, "order": args.order,
@@ -298,17 +273,12 @@ def _cmd_verify(args) -> int:
     known = {identity_id for identity_id, _, _ in verify.list_identities()}
     for identity_id in args.id or ():
         if identity_id not in known:
-            raise _UsageError(f"unknown identity id {identity_id!r}")
-    x_points = tuple(_parse_fraction(tok) for tok in args.x_points.split(",")) \
-        if args.x_points is not None else None
-    try:
-        rng = verify.SweepRange(
-            n_max=args.n_max, s_max=args.s_max, h_max=args.h_max,
-            order=args.order,
-            x_points=x_points or verify.SweepRange().x_points,
-            include_symbolic=not args.no_symbolic)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+            raise DomainError(f"unknown identity id {identity_id!r}")
+    given = {name: value for name, value in vars(args).items()
+             if name in verify.SweepRange._fields}
+    if "x_points" in given:
+        given["x_points"] = tuple(_parse_fraction(tok) for tok in given["x_points"].split(","))
+    rng = verify.SweepRange(**given)
     if args.id:
         reports = [verify.run_identity(identity_id, rng) for identity_id in args.id]
     else:
@@ -353,12 +323,39 @@ def _render_verify_plain(reports) -> str:
 _X_DIGITS_HELP = f"numerator and denominator of at most {X_DIGITS_MAX} digits"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises argparse's own errors as ``DomainError``, for ``main`` to report
+    as one line like every other usage error."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
+def _count(low: int, high: int):
+    """An argparse type: an integer in ``low..high``."""
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"must be in {low}..{high}, got {text}")
+        return value
+    return count
+
+
+def _add_count(parser: argparse.ArgumentParser, name: str, low: int, high: int,
+               what: str, **kwargs) -> None:
+    parser.add_argument(name, type=_count(low, high), help=f"{what}, at most {high}",
+                        **kwargs)
+
+
 def _add_format(parser: argparse.ArgumentParser, choices) -> None:
     parser.add_argument("--format", choices=choices, default=PLAIN)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="triblucas",
         description="Tribonacci / Tribonacci-Lucas families, triangles, "
                     "incomplete variants, generating functions and the "
@@ -367,28 +364,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("seq", help="number sequence values over an index range")
     p.add_argument("family", choices=sorted(_NUMBER_FAMILIES))
-    p.add_argument("start", type=int, metavar="from")
-    p.add_argument("end", type=int, metavar="to",
-                   help=f"last index, at most {SEQ_INDEX_MAX}")
+    _add_count(p, "start", 0, SEQ_INDEX_MAX, "first index", metavar="from")
+    _add_count(p, "end", 0, SEQ_INDEX_MAX, "last index", metavar="to")
     _add_format(p, [PLAIN, JSON, CSV, BFILE])
     p.set_defaults(func=_cmd_seq)
 
     p = sub.add_parser("poly", help="one polynomial family member")
     p.add_argument("family", choices=sorted(_POLY_FAMILIES))
-    p.add_argument("n", type=int, help=f"index, at most {POLY_INDEX_MAX}")
+    _add_count(p, "n", 0, POLY_INDEX_MAX, "index")
     _add_format(p, [PLAIN, JSON, CSV])
     p.set_defaults(func=_cmd_poly)
 
     p = sub.add_parser("table", help="reference tables 1-4")
     p.add_argument("which", type=int, choices=[1, 2, 3, 4])
-    p.add_argument("--rows", type=int, default=6,
-                   help=f"number of rows, at most {TRIANGLE_INDEX_MAX}")
+    _add_count(p, "--rows", 1, TRIANGLE_INDEX_MAX, "number of rows", default=6)
     _add_format(p, [PLAIN, JSON, CSV])
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("incomplete", help="incomplete family values")
     p.add_argument("family", choices=sorted(_INCOMPLETE_FAMILIES))
-    p.add_argument("n", type=int, help=f"index, at most {TRIANGLE_INDEX_MAX}")
+    _add_count(p, "n", 0, TRIANGLE_INDEX_MAX, "index")
     p.add_argument("s", type=int)
     p.add_argument("--x", help="rational evaluation point, e.g. 1 or 1/2, "
                                f"{_X_DIGITS_HELP}")
@@ -397,25 +392,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gf", help="generating-function expansion + comparator")
     p.add_argument("family", choices=sorted(_GF_FAMILIES))
-    p.add_argument("s", type=int, help=f"incomplete level, at most {GF_S_MAX}")
-    p.add_argument("order", type=int,
-                   help=f"number of series coefficients, at most {GF_ORDER_MAX}")
+    _add_count(p, "s", 0, GF_S_MAX, "incomplete level")
+    _add_count(p, "order", 1, GF_ORDER_MAX, "number of series coefficients")
     p.add_argument("--variant", choices=sorted(_VARIANT_FLAGS), default="corrected")
     p.add_argument("--x", help=f"rational evaluation point, {_X_DIGITS_HELP}; "
                                "omit for symbolic x")
     _add_format(p, [PLAIN, JSON, CSV])
     p.set_defaults(func=_cmd_gf)
 
+    # The range flags set only what is given; the defaults are SweepRange's.
+    default = verify.SweepRange()
     p = sub.add_parser("verify", help="run the identity verification suite")
     p.add_argument("--id", action="append",
                    help="run only this catalog id (repeatable)")
-    p.add_argument("--n-max", type=int, default=40)
-    p.add_argument("--s-max", type=int, default=8)
-    p.add_argument("--h-max", type=int, default=12)
-    p.add_argument("--order", type=int, default=48)
-    p.add_argument("--x-points", help=f"comma-separated rationals, {_X_DIGITS_HELP}; "
-                                      "default 1,2,1/2")
-    p.add_argument("--no-symbolic", action="store_true",
+    for name in ("n_max", "s_max", "h_max", "order"):
+        p.add_argument("--" + name.replace("_", "-"), type=int, default=argparse.SUPPRESS,
+                       help=f"default {getattr(default, name)}")
+    p.add_argument("--x-points", default=argparse.SUPPRESS,
+                   help=f"comma-separated rationals, {_X_DIGITS_HELP}; default "
+                        + ",".join(map(str, default.x_points)))
+    p.add_argument("--no-symbolic", dest="include_symbolic", action="store_false",
+                   default=argparse.SUPPRESS,
                    help="skip the symbolic-x generating-function sweeps")
     _add_format(p, [PLAIN, JSON, CSV])
     p.set_defaults(func=_cmd_verify)
@@ -424,25 +421,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    except SystemExit as exc:   # after --help
+        return exc.code
     except DomainError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        message, code = str(exc), 2
     except BrokenPipeError:
         raise
     except Exception as exc:
-        message = str(exc).replace("\n", " ")
-        sys.stderr.write(f"error: internal: {type(exc).__name__}: {message}\n")
-        return 3
+        message, code = f"internal: {type(exc).__name__}: {exc}", 3
+    sys.stderr.write("error: " + message.replace("\n", " ") + "\n")
+    return code
 
 
 def entry() -> None:

@@ -43,8 +43,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 
 from . import genfunc as gf
 from . import incomplete as inc
-from .errors import UnknownIdentityError
-from .poly import IntPoly, poly_format
+from .errors import DomainError, UnknownIdentityError
 from .sequences import (
     MEMOS,
     _Frozen,
@@ -82,7 +81,8 @@ class SweepRange(_Frozen):
     ``n_max`` caps the number sweeps directly; polynomial sweeps use
     min(n_max, 24) and the polynomial recurrence / partial-sum sweeps use
     min(n_max, 20), so lowering n_max shrinks everything uniformly.  The
-    x points must be distinct, and without symbolic x there must be one.
+    x points must be distinct, and without symbolic x there must be one; a
+    range that breaks a check raises ``DomainError``.
     Immutable; equal to another range with the same fields, and hashed over
     them.  Every construction, a copy or unpickling included, runs the
     checks; a changed range is a new ``SweepRange(...)``.
@@ -97,13 +97,13 @@ class SweepRange(_Frozen):
         self._set(n_max, s_max, h_max, order, x_points, include_symbolic)
         for name in ("n_max", "s_max", "h_max", "order"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+                raise DomainError(f"{name} must be >= 1")
         xs = [Fraction(x) for x in x_points]
         for k, x in enumerate(xs):
             if x in xs[:k]:
-                raise ValueError(f"x_points must be distinct, got {x} twice")
+                raise DomainError(f"x_points must be distinct, got {x} twice")
         if not xs and not include_symbolic:
-            raise ValueError("x_points must not be empty without symbolic x")
+            raise DomainError("x_points must not be empty without symbolic x")
 
     @property
     def n_max_poly(self) -> int:
@@ -158,12 +158,6 @@ class IdentityReport(NamedTuple):
         }
 
 
-def _render(value) -> str:
-    if isinstance(value, IntPoly):
-        return poly_format(value)
-    return str(value)
-
-
 def _render_binet(value) -> str:
     # The estimate is an exact Fraction over 2^bits; its full numerator and
     # denominator run to hundreds of digits, so print 20 significant digits.
@@ -171,7 +165,7 @@ def _render_binet(value) -> str:
         with decimal.localcontext() as ctx:
             ctx.prec = 20
             return str(decimal.Decimal(value.numerator) / value.denominator)
-    return _render(value)
+    return gf.render_coeff(value)
 
 
 def _within_binet_tol(estimate, value: int) -> bool:
@@ -272,7 +266,7 @@ class CatalogEntry(NamedTuple):
     expects_failures: bool = False
     extra_notes: str = ""
     agree: Callable[[object, object], bool] = operator.eq
-    render: Callable[[object], str] = _render
+    render: Callable[[object], str] = gf.render_coeff
 
     def points(self, rng: SweepRange) -> Iterator[Tuple[dict, object, object]]:
         """(point, lhs, rhs) at each point of the lattice, in walk order."""
@@ -501,7 +495,7 @@ def run_identity(identity_id: str, rng: Optional[SweepRange] = None) -> Identity
         if not entry.agree(lhs, rhs):
             total_failures += 1
             if len(examples) < MAX_COUNTEREXAMPLES:
-                params = tuple((k, "symbolic" if v is None else _render(v))
+                params = tuple((k, "symbolic" if v is None else gf.render_coeff(v))
                                for k, v in point.items())
                 examples.append(Failure(params, entry.render(lhs), entry.render(rhs)))
     notes = f"domain: {entry.domain(rng)}"

@@ -119,6 +119,20 @@ X_DIGITS = f"at most {X_DIGITS_MAX} digits"
     (("verify", "--id", "thm10-printed", "--no-symbolic", "--x-points", "1e300"), X_DIGITS),
     (("verify", "--x-points", "1/2,1e-10"), X_DIGITS),
     (("verify", "--x-points", ""), "not a rational number: ''"),
+    # Fraction takes "1_0" from Python 3.11 on and "1 / 2" from 3.12 on; the
+    # CLI refuses both on every version.
+    (("incomplete", "tl", "5", "2", "--x", "1_0"), "not a rational number: '1_0'"),
+    (("gf", "inc-tl", "2", "8", "--x", "1 / 2"), "not a rational number: '1 / 2'"),
+    # argparse's own errors are one line too.
+    (("frobnicate",), "invalid choice: 'frobnicate'"),
+    ((), "required: command"),
+    (("seq", "tribonacci", "x", "5"), "not an integer: 'x'"),
+    (("seq", "tribonacci", "0"), "required: to"),
+    (("poly", "tl", "5", "--format", "bfile"), "invalid choice: 'bfile'"),
+    (("verify", "--bogus"), "unrecognized arguments: --bogus"),
+    # Checked by the library, not the handler.
+    (("gf", "inc-tl", "0", "7"), "s >= 1"),
+    (("gf", "inc-tl", "1", "7", "--variant", "printed"), "only the corrected variant"),
 ])
 def test_indices_past_the_bounds_exit_2_without_allocating(capsys, argv, bound):
     run(capsys, "seq", "tribonacci", "0", "3")   # imports and parser caches
