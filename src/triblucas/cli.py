@@ -29,6 +29,7 @@ import csv
 import io
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional
@@ -168,12 +169,9 @@ def _cmd_poly(args) -> int:
 
 def _table_rows(which: int, rows: int):
     """(header label, first row index, list of rows of rendered cells)."""
-    if which == 1:
-        table = triangle_rows(TriangleKind.NUMBERS, rows)
-        return "n\\i", 0, [[str(c) for c in row] for row in table.rows]
-    if which == 2:
-        table = triangle_rows(TriangleKind.POLYNOMIALS, rows)
-        return "n\\i", 0, [[poly_format(c) for c in row] for row in table.rows]
+    if which <= 2:
+        kind = TriangleKind.NUMBERS if which == 1 else TriangleKind.POLYNOMIALS
+        return "n\\i", 0, triangle_rows(kind, rows).to_json_dict()["rows"]
     if which == 3:
         body = [[poly_format(p) for p in incomplete.incomplete_tl_poly_row(n)]
                 for n in range(1, rows + 1)]
@@ -325,7 +323,15 @@ _X_DIGITS_HELP = f"numerator and denominator of at most {X_DIGITS_MAX} digits"
 
 class _Parser(argparse.ArgumentParser):
     """Raises argparse's own errors as ``DomainError``, for ``main`` to report
-    as one line like every other usage error."""
+    as one line like every other usage error, and takes an argument that
+    starts with a minus sign and a digit as a value, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A private argparse attribute, which ArgumentParser.__init__ sets on
+        # 3.10 to 3.13: an argument it matches is a value, not a flag.
+        # argparse's own pattern matches only -1 and -0.5.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise DomainError(message)

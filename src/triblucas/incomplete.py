@@ -13,16 +13,17 @@ sum of the polynomial triangle:
 
 equivalently a double-binomial sum with the n = i+j cells skipped.  Taking
 s at its maximum recovers the complete polynomial; x = 1 gives the number
-variants T_n(s), K_n(s).  This module also carries the boundary closed
-forms, the homogeneous / non-homogeneous recurrences, the cross-family
-relation, the partial-sum identity (with checked halving) and the row-sum
-identity.
+variants T_n(s), K_n(s), and each identity with a number twin is written
+once over ``TriangleKind``.  This module also carries the boundary closed
+forms, the recurrences, the cross-family relation (read by ``prop3`` and,
+at x = 1, by the two-path ``cor4``), the partial-sum identity (with checked
+halving) and the row-sum identity.
 """
 
 from __future__ import annotations
 
 import enum
-from itertools import accumulate, chain
+from itertools import accumulate
 from math import comb
 from typing import Iterator, Tuple
 
@@ -30,19 +31,18 @@ from .errors import DomainError, InternalConsistencyError
 from .poly import IntPoly
 from .sequences import _Frozen, cached, tribonacci_lucas_number, tribonacci_lucas_poly
 from .triangles import (
+    _RING,
+    TriangleKind,
     _binomial_diagonal_terms,
+    _entry_function,
     _poly_diagonal_sum,
     _poly_diagonal_sums,
     triangle_entry_number,
-    triangle_entry_poly,
     weighted_binomial_diagonal_sum,
 )
 
 TRIANGLE_SUM = "triangle_sum"
 BINOMIAL_SUM = "binomial_sum"
-
-NUMBERS = "numbers"
-POLYNOMIALS = "polynomials"
 
 
 class IncompleteFamily(enum.Enum):
@@ -217,8 +217,13 @@ def boundary_form(n: int, which: str) -> IntPoly:
     raise DomainError(f"unknown boundary form {which!r}")
 
 
-def tl_relation_rhs(n: int, s: int) -> IntPoly:
-    """T_{n+1}^(s)(x) + x T_{n-1}^(s-1)(x) + 2 T_{n-2}^(s-1)(x).
+def _check_kind(kind: TriangleKind) -> None:
+    if kind not in _RING:
+        raise DomainError(f"unknown kind {kind!r}")
+
+
+def tl_relation_rhs(n: int, s: int, kind: TriangleKind = TriangleKind.POLYNOMIALS):
+    """T_{n+1}^(s)(x) + x T_{n-1}^(s-1)(x) + 2 T_{n-2}^(s-1)(x), or its value at x = 1.
 
     Equals K_n^(s)(x) for n > 2 and 1 <= s <= floor((n-1)/2); the two sides
     come from different families, so this is the cross-family bridge.
@@ -228,9 +233,10 @@ def tl_relation_rhs(n: int, s: int) -> IntPoly:
     if not 1 <= s <= (n - 1) // 2:
         raise DomainError(
             f"level s={s} outside the valid interval 1..{(n - 1) // 2} at n={n}")
-    return (incomplete_tribonacci_poly(n + 1, s)
-            + incomplete_tribonacci_poly(n - 1, s - 1).shifted(1)
-            + 2 * incomplete_tribonacci_poly(n - 2, s - 1))
+    _check_kind(kind)
+    t, ring = _VALUES[IncompleteFamily.INC_TRIBONACCI, kind], _RING[kind]
+    # x^2·0 + x·T_{n-1}^(s-1) + (T_{n+1}^(s) + 2 T_{n-2}^(s-1))
+    return ring.step(ring.cell(0, 0), t(n - 1, s - 1), t(n + 1, s) + 2 * t(n - 2, s - 1))
 
 
 def partial_sum_lhs_rhs(n: int, h: int, s: int) -> Tuple[int, int]:
@@ -255,8 +261,8 @@ def partial_sum_lhs_rhs(n: int, h: int, s: int) -> Tuple[int, int]:
     return lhs, half
 
 
-def row_sum_lhs_rhs(n: int, mode: str = NUMBERS):
-    """Both sides of the incomplete-table row-sum identity.
+def row_sum_lhs_rhs(n: int, kind: TriangleKind = TriangleKind.NUMBERS):
+    """Both sides of the incomplete-table row-sum identity, for either kind.
 
     With l = floor(n/2):
     LHS = sum_{s=0..l} K_n^(s);
@@ -265,18 +271,11 @@ def row_sum_lhs_rhs(n: int, mode: str = NUMBERS):
     """
     if n < 1:
         raise DomainError(f"row sum requires n >= 1, got {n}")
+    _check_kind(kind)
     l = n // 2
-    if mode == POLYNOMIALS:
-        lhs = IntPoly.zero()
-        for s in range(l + 1):
-            lhs = lhs + incomplete_tl_poly(n, s)
-        rhs = (l + 1) * tribonacci_lucas_poly(n) - weighted_binomial_diagonal_sum(n, True)
-        return lhs, rhs
-    if mode != NUMBERS:
-        raise DomainError(f"unknown mode {mode!r}")
-    lhs = sum(incomplete_tl_number(n, s) for s in range(l + 1))
-    rhs = ((l + 1) * tribonacci_lucas_number(n)
-           - weighted_binomial_diagonal_sum(n, False))
+    value = _VALUES[IncompleteFamily.INC_TRIBONACCI_LUCAS, kind]
+    lhs = sum(value(n, s) for s in range(l + 1))
+    rhs = (l + 1) * _COMPLETE_TL[kind](n) - weighted_binomial_diagonal_sum(kind, n)
     return lhs, rhs
 
 
@@ -286,63 +285,54 @@ HOM_NUM_39 = "hom_num_39"
 NONHOM_NUM_310 = "nonhom_num_310"
 TRI_NONHOM_15 = "tri_nonhom_15"
 
-RECURRENCE_VARIANTS = (
-    HOM_POLY_37, NONHOM_POLY_38, HOM_NUM_39, NONHOM_NUM_310, TRI_NONHOM_15,
-)
+# (family, kind, homogeneous) of each variant; a number variant is its twin at x = 1.
+_RECURRENCES = {
+    HOM_POLY_37: (IncompleteFamily.INC_TRIBONACCI_LUCAS, TriangleKind.POLYNOMIALS, True),
+    NONHOM_POLY_38: (IncompleteFamily.INC_TRIBONACCI_LUCAS, TriangleKind.POLYNOMIALS, False),
+    HOM_NUM_39: (IncompleteFamily.INC_TRIBONACCI_LUCAS, TriangleKind.NUMBERS, True),
+    NONHOM_NUM_310: (IncompleteFamily.INC_TRIBONACCI_LUCAS, TriangleKind.NUMBERS, False),
+    TRI_NONHOM_15: (IncompleteFamily.INC_TRIBONACCI, TriangleKind.POLYNOMIALS, False),
+}
+RECURRENCE_VARIANTS = tuple(_RECURRENCES)
+
+# Public functions by (family, kind) and K_n by kind, read here so a tracer can patch them.
+_VALUES = {
+    (IncompleteFamily.INC_TRIBONACCI, TriangleKind.NUMBERS): incomplete_tribonacci_number,
+    (IncompleteFamily.INC_TRIBONACCI, TriangleKind.POLYNOMIALS): incomplete_tribonacci_poly,
+    (IncompleteFamily.INC_TRIBONACCI_LUCAS, TriangleKind.NUMBERS): incomplete_tl_number,
+    (IncompleteFamily.INC_TRIBONACCI_LUCAS, TriangleKind.POLYNOMIALS): incomplete_tl_poly,
+}
+_COMPLETE_TL = {TriangleKind.NUMBERS: tribonacci_lucas_number,
+                TriangleKind.POLYNOMIALS: tribonacci_lucas_poly}
 
 
-def _eq15_corrections(n: int, s: int) -> IntPoly:
-    # The two binomial correction sums of the non-homogeneous incomplete
-    # Tribonacci recurrence: x (level s of T_(n+1)) + (level s of T_n).
-    shifted = ((power + 1, coeff) for power, coeff in _tribonacci_level(n + 1, s))
-    return IntPoly.from_terms(chain(shifted, _tribonacci_level(n, s)))
+def _level(family: IncompleteFamily, kind: TriangleKind, n: int, s: int):
+    # Level s alone of F_n^(s): B(n-s, s)(x) for K, the level-s cells of the sum for T.
+    if family is IncompleteFamily.INC_TRIBONACCI_LUCAS:
+        return _entry_function(kind)(n - s, s)
+    return _RING[kind].collect(_tribonacci_level(n, s))
 
 
 def recurrence_step(n: int, s: int, variant: str) -> Tuple:
     """(directly computed value, recurrence-assembled value) for one step.
 
-    hom_poly_37:     K_{n+3}^(s+1) vs x^2 K_{n+2}^(s+1) + x K_{n+1}^(s) + K_n^(s)
-    nonhom_poly_38:  K_{n+3}^(s)   vs x^2 K_{n+2}^(s) + x K_{n+1}^(s) + K_n^(s)
-                                      - x B(n+1-s, s)(x) - B(n-s, s)(x)
-    hom_num_39 / nonhom_num_310: the same at x = 1, from the number families
-    tri_nonhom_15:   T_{n+3}^(s)   vs x^2 T_{n+2}^(s) + x T_{n+1}^(s) + T_n^(s)
-                                      - the two binomial correction sums
+    For the variant's family F (K, or T for tri_nonhom_15), with L_m the
+    level-s term of F_m^(s) (B(m-s, s)(x) for K):
+    homogeneous:      F_{n+3}^(s+1) vs x^2 F_{n+2}^(s+1) + x F_{n+1}^(s) + F_n^(s)
+    non-homogeneous:  F_{n+3}^(s)   vs x^2 F_{n+2}^(s) + x (F_{n+1}^(s) - L_{n+1})
+                                       + (F_n^(s) - L_n)
     """
-    if variant == HOM_NUM_39:
-        check_domain(IncompleteFamily.INC_TRIBONACCI_LUCAS, n, s)
-        return (incomplete_tl_number(n + 3, s + 1),
-                incomplete_tl_number(n + 2, s + 1) + incomplete_tl_number(n + 1, s)
-                + incomplete_tl_number(n, s))
-    if variant == NONHOM_NUM_310:
-        check_domain(IncompleteFamily.INC_TRIBONACCI_LUCAS, n, s)
-        return (incomplete_tl_number(n + 3, s),
-                incomplete_tl_number(n + 2, s) + incomplete_tl_number(n + 1, s)
-                + incomplete_tl_number(n, s)
-                - triangle_entry_number(n + 1 - s, s) - triangle_entry_number(n - s, s))
-    if variant == HOM_POLY_37:
-        check_domain(IncompleteFamily.INC_TRIBONACCI_LUCAS, n, s)
-        direct = incomplete_tl_poly(n + 3, s + 1)
-        assembled = (incomplete_tl_poly(n + 2, s + 1).shifted(2)
-                     + incomplete_tl_poly(n + 1, s).shifted(1)
-                     + incomplete_tl_poly(n, s))
-    elif variant == NONHOM_POLY_38:
-        check_domain(IncompleteFamily.INC_TRIBONACCI_LUCAS, n, s)
-        direct = incomplete_tl_poly(n + 3, s)
-        assembled = (incomplete_tl_poly(n + 2, s).shifted(2)
-                     + incomplete_tl_poly(n + 1, s).shifted(1)
-                     + incomplete_tl_poly(n, s)
-                     - triangle_entry_poly(n + 1 - s, s).shifted(1)
-                     - triangle_entry_poly(n - s, s))
-    elif variant == TRI_NONHOM_15:
-        check_domain(IncompleteFamily.INC_TRIBONACCI, n, s)
-        direct = incomplete_tribonacci_poly(n + 3, s)
-        assembled = (incomplete_tribonacci_poly(n + 2, s).shifted(2)
-                     + incomplete_tribonacci_poly(n + 1, s).shifted(1)
-                     + incomplete_tribonacci_poly(n, s)
-                     - _eq15_corrections(n, s))
-    else:
+    if variant not in _RECURRENCES:
         raise DomainError(f"unknown recurrence variant {variant!r}")
-    return direct, assembled
+    family, kind, homogeneous = _RECURRENCES[variant]
+    check_domain(family, n, s)
+    value, step = _VALUES[family, kind], _RING[kind].step
+    if homogeneous:
+        return (value(n + 3, s + 1),
+                step(value(n + 2, s + 1), value(n + 1, s), value(n, s)))
+    return (value(n + 3, s),
+            step(value(n + 2, s), value(n + 1, s) - _level(family, kind, n + 1, s),
+                 value(n, s) - _level(family, kind, n, s)))
 
 
 __all__ = [
@@ -354,5 +344,5 @@ __all__ = [
     "tl_relation_rhs", "partial_sum_lhs_rhs", "row_sum_lhs_rhs",
     "recurrence_step", "RECURRENCE_VARIANTS",
     "HOM_POLY_37", "NONHOM_POLY_38", "HOM_NUM_39", "NONHOM_NUM_310",
-    "TRI_NONHOM_15", "TRIANGLE_SUM", "BINOMIAL_SUM", "NUMBERS", "POLYNOMIALS",
+    "TRI_NONHOM_15", "TRIANGLE_SUM", "BINOMIAL_SUM",
 ]

@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 from itertools import compress
 from math import comb
-from typing import Iterator, List, NamedTuple, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Tuple, Union
 
 from .errors import DomainError, InternalConsistencyError
 from .poly import IntPoly, poly_format
@@ -41,8 +41,13 @@ CLOSED_FORM = "closed_form"
 
 
 class TriangleKind(enum.Enum):
+    """Numbers or polynomials: every number is its polynomial twin at x = 1."""
+
     NUMBERS = "numbers"
     POLYNOMIALS = "polynomials"
+
+    def __str__(self) -> str:   # as a counterexample's parameter prints it
+        return self.value
 
 
 class TriangleTable(NamedTuple):
@@ -56,11 +61,28 @@ class TriangleTable(NamedTuple):
 
     def to_json_dict(self) -> dict:
         """Ragged array of strings plus the kind tag."""
-        render = str if self.kind is TriangleKind.NUMBERS else poly_format
+        render = _RING[self.kind].render
         return {
             "kind": self.kind.value,
             "rows": [[render(entry) for entry in row] for row in self.rows],
         }
+
+
+class _Ring(NamedTuple):
+    """How one kind builds its values; numbers are the polynomials at x = 1."""
+
+    cell: Callable[[int, int], Entry]                   # (c, k) -> c·x^k
+    step: Callable[[Entry, Entry, Entry], Entry]        # (a, b, c) -> x^2·a + x·b + c
+    collect: Callable[[Iterable[Tuple[int, int]]], Entry]   # sum of c·x^k over (k, c)
+    render: Callable[[Entry], str]
+
+
+_RING = {
+    TriangleKind.NUMBERS: _Ring(lambda c, k: c, lambda a, b, c: a + b + c,
+                                lambda terms: sum(coeff for _, coeff in terms), str),
+    TriangleKind.POLYNOMIALS: _Ring(IntPoly.monomial, _shift_add, IntPoly.from_terms,
+                                    poly_format),
+}
 
 
 def exact_div(numerator: int, denominator: int) -> int:
@@ -73,15 +95,8 @@ def exact_div(numerator: int, denominator: int) -> int:
 
 
 def _triangle(kind: TriangleKind) -> _GrowingCache:
-    """An empty memo of one triangle's columns, each grown only when read.
-
-    ``cell(c, k)`` is c·x^k (just ``c`` in the number triangle, which is the
-    polynomial one at x = 1) and ``step(a, b, c)`` is x^2·a + x·b + c.
-    """
-    if kind is TriangleKind.NUMBERS:
-        cell, step = (lambda c, k: c), (lambda a, b, c: a + b + c)
-    else:
-        cell, step = IntPoly.monomial, _shift_add
+    """An empty memo of one triangle's columns, each grown only when read."""
+    cell, step = _RING[kind].cell, _RING[kind].step
 
     def new_column(columns: List[_GrowingCache]) -> _GrowingCache:
         # Column i = len(columns): B(i+k, i) from B(i+k-1, i), B(i+k-1, i-1)
@@ -118,10 +133,12 @@ def _cell(memo: _GrowingCache, n: int, i: int) -> Entry:
     return columns[i]._values[n - i]
 
 
-_NUMBER_COLUMNS = register_memo("triangles.triangle_entry_number",
-                                _triangle(TriangleKind.NUMBERS))
-_POLY_COLUMNS = register_memo("triangles.triangle_entry_poly",
-                              _triangle(TriangleKind.POLYNOMIALS))
+_COLUMNS = {
+    TriangleKind.NUMBERS: register_memo("triangles.triangle_entry_number",
+                                        _triangle(TriangleKind.NUMBERS)),
+    TriangleKind.POLYNOMIALS: register_memo("triangles.triangle_entry_poly",
+                                            _triangle(TriangleKind.POLYNOMIALS)),
+}
 
 
 def _check_cell(n: int, i: int) -> None:
@@ -141,37 +158,38 @@ def _closed_terms(n: int, i: int):
         yield 2 * n - i - 3 * j, exact_div((n + i) * binoms, n - j)
 
 
-def triangle_entry_number(n: int, i: int, method: str = RECURRENCE) -> int:
-    """B(n, i), by the table recurrence or the closed binomial sum."""
+def _entry(kind: TriangleKind, n: int, i: int, method: str) -> Entry:
     _check_cell(n, i)
     if method == RECURRENCE:
-        return _cell(_NUMBER_COLUMNS, n, i)
+        return _cell(_COLUMNS[kind], n, i)
     if method != CLOSED_FORM:
         raise DomainError(f"unknown method {method!r}")
     if n == 0:
-        return 3
-    return sum(coeff for _, coeff in _closed_terms(n, i))
+        return _RING[kind].cell(3, 0)
+    return _RING[kind].collect(_closed_terms(n, i))
+
+
+def triangle_entry_number(n: int, i: int, method: str = RECURRENCE) -> int:
+    """B(n, i), by the table recurrence or the closed binomial sum."""
+    return _entry(TriangleKind.NUMBERS, n, i, method)
 
 
 def triangle_entry_poly(n: int, i: int, method: str = RECURRENCE) -> IntPoly:
     """B(n, i)(x), by the table recurrence or the closed binomial sum."""
-    _check_cell(n, i)
-    if method == RECURRENCE:
-        return _cell(_POLY_COLUMNS, n, i)
-    if method != CLOSED_FORM:
-        raise DomainError(f"unknown method {method!r}")
-    if n == 0:
-        return IntPoly.constant(3)
-    return IntPoly.from_terms(_closed_terms(n, i))
+    return _entry(TriangleKind.POLYNOMIALS, n, i, method)
+
+
+def _entry_function(kind: TriangleKind):
+    # Looked up when called, so that a caller gets a patched module name.
+    return triangle_entry_number if kind is TriangleKind.NUMBERS else triangle_entry_poly
 
 
 def triangle_rows(kind: TriangleKind, row_count: int) -> TriangleTable:
     """Rows 0..row_count-1 computed by recurrence."""
     if row_count < 1:
         raise DomainError(f"row_count must be >= 1, got {row_count}")
-    memo = _NUMBER_COLUMNS if kind is TriangleKind.NUMBERS else _POLY_COLUMNS
     columns = [column.grow(row_count - i)
-               for i, column in enumerate(memo.grow(row_count)[:row_count])]
+               for i, column in enumerate(_COLUMNS[kind].grow(row_count)[:row_count])]
     return TriangleTable(kind, tuple(tuple(columns[i][n - i] for i in range(n + 1))
                                      for n in range(row_count)))
 
@@ -216,22 +234,17 @@ def _binomial_diagonal_terms(n: int, top: int, weight_by_i: bool = False):
             yield power, weight * coeff
 
 
-def _collect(terms, polynomial: bool) -> Entry:
-    if polynomial:
-        return IntPoly.from_terms(terms)
-    return sum(coeff for _, coeff in terms)
+def _binomial_diagonal(kind: TriangleKind, n: int, weight_by_i: bool) -> Entry:
+    if n < 1:
+        raise DomainError(f"index must be >= 1, got {n}")
+    return _RING[kind].collect(_binomial_diagonal_terms(n, n // 2, weight_by_i))
 
 
 def binomial_diagonal_sum(kind: TriangleKind, n: int) -> Entry:
     """The closed double-binomial form of the rising-diagonal sum (n >= 1)."""
-    if n < 1:
-        raise DomainError(f"index must be >= 1, got {n}")
-    return _collect(_binomial_diagonal_terms(n, n // 2),
-                    kind is TriangleKind.POLYNOMIALS)
+    return _binomial_diagonal(kind, n, weight_by_i=False)
 
 
-def weighted_binomial_diagonal_sum(n: int, polynomial: bool) -> Entry:
+def weighted_binomial_diagonal_sum(kind: TriangleKind, n: int) -> Entry:
     """The i-weighted variant of the double sum used by the row-sum identity."""
-    if n < 1:
-        raise DomainError(f"index must be >= 1, got {n}")
-    return _collect(_binomial_diagonal_terms(n, n // 2, weight_by_i=True), polynomial)
+    return _binomial_diagonal(kind, n, weight_by_i=True)

@@ -30,7 +30,8 @@ recurrence or partial-sum relation among values of one function
 function; its values come from the double sums and triangles, never from
 the relation.  Every other entry is a *two-path* entry: it compares a
 closed form with a recurrence or a definition, and computes its two sides
-through separate code.
+through separate code.  ``cor4`` is ``prop3`` at x = 1 through
+``tl_relation_rhs`` of the number kind, and two-path as its sides' families differ.
 """
 
 from __future__ import annotations
@@ -54,14 +55,8 @@ from .sequences import (
     tribonacci_number,
     tribonacci_poly,
 )
-from .triangles import (
-    CLOSED_FORM,
-    RECURRENCE,
-    TriangleKind,
-    binomial_diagonal_sum,
-    triangle_entry_number,
-    triangle_entry_poly,
-)
+from .triangles import (CLOSED_FORM, RECURRENCE, TriangleKind, _entry_function,
+                        binomial_diagonal_sum)
 
 PASS = "pass"
 FAIL = "fail"
@@ -314,8 +309,8 @@ _TL = inc.IncompleteFamily.INC_TRIBONACCI_LUCAS
 _BINET_NOTE = f"relative tolerance 1e-6, {BINET_PRECISION}-bit floats"
 
 
-def _triangle(kind: str, n: int, i: int):
-    entry = triangle_entry_number if kind == "numbers" else triangle_entry_poly
+def _triangle(kind: TriangleKind, n: int, i: int):
+    entry = _entry_function(kind)
     return entry(n, i, CLOSED_FORM), entry(n, i, RECURRENCE)
 
 
@@ -325,15 +320,6 @@ def _boundary(which: str):
 
 def _recurrence(variant: str):
     return lambda n, s: inc.recurrence_step(n, s, variant)
-
-
-def _cor4(n: int, s: int):
-    # T_{n+1}(s) + T_{n-1}(s-1) + 2 T_{n-2}(s-1) from the Tribonacci double
-    # sum, against K_n(s) from the number triangle
-    lhs = (inc.incomplete_tribonacci_number(n + 1, s)
-           + inc.incomplete_tribonacci_number(n - 1, s - 1)
-           + 2 * inc.incomplete_tribonacci_number(n - 2, s - 1))
-    return lhs, inc.incomplete_tl_number(n, s)
 
 
 def _at_one(family: str, n: int):
@@ -384,7 +370,7 @@ _CATALOG: Dict[str, CatalogEntry] = {entry.id: entry for entry in (
     CatalogEntry("closed-vs-recurrence-triangle",
                  "triangle entries: closed binomial forms equal the table recurrences, both kinds",
                  "2.1 / 2.3 + closed forms",
-                 (Choice("kind", ("numbers", "polynomials")),
+                 (Choice("kind", tuple(TriangleKind)),
                   Span("n", 0, lambda rng: min(rng.n_max, TRIANGLE_SWEEP_CAP)),
                   Span("i", 0, UP_TO_N)), _triangle, suffix="both kinds"),
     CatalogEntry("def1-methods", "incomplete Tribonacci-Lucas polynomials: triangle partial sums "
@@ -419,17 +405,19 @@ _CATALOG: Dict[str, CatalogEntry] = {entry.id: entry for entry in (
                  "polynomials", "Prop 3", (Span("n", 3, N_POLY), Span("s", 1, HALF_N_1)),
                  lambda n, s: (inc.tl_relation_rhs(n, s), inc.incomplete_tl_poly(n, s))),
     CatalogEntry("cor4", "the cross-family relation at x = 1",
-                 "Cor 4", (Span("n", 3, N_MAX), Span("s", 1, HALF_N_1)), _cor4),
+                 "Cor 4", (Span("n", 3, N_MAX), Span("s", 1, HALF_N_1)),
+                 lambda n, s: (inc.tl_relation_rhs(n, s, TriangleKind.NUMBERS),
+                               inc.incomplete_tl_number(n, s))),
     CatalogEntry("thm5", "partial sums of incomplete Tribonacci-Lucas numbers, with checked "
                  "halving", "3.11", (Span("n", 1, N_RECUR), Span("h", 1, H_MAX),
                                      Span("s", 0, HALF_N)),
                  lambda n, h, s: inc.partial_sum_lhs_rhs(n, h, s)),
     CatalogEntry("prop6", "row sums of the incomplete polynomial table", "3.12",
-                 (Span("n", 1, N_POLY),), lambda n: inc.row_sum_lhs_rhs(n, inc.POLYNOMIALS),
-                 suffix="polynomials"),
+                 (Span("n", 1, N_POLY),),
+                 lambda n: inc.row_sum_lhs_rhs(n, TriangleKind.POLYNOMIALS), suffix="polynomials"),
     CatalogEntry("cor8", "row sums of the incomplete number table", "3.13",
-                 (Span("n", 1, N_MAX),), lambda n: inc.row_sum_lhs_rhs(n, inc.NUMBERS),
-                 suffix="numbers"),
+                 (Span("n", 1, N_MAX),),
+                 lambda n: inc.row_sum_lhs_rhs(n, TriangleKind.NUMBERS), suffix="numbers"),
     CatalogEntry("binet-T", "Tribonacci closed form over the characteristic roots vs the "
                  "recurrence", "1.3 (with 1.1)", (Span("n", 0, N_MAX),),
                  lambda n: (binet_estimate(n, SequenceFamily.TRIBONACCI_NUMBER, BINET_PRECISION),

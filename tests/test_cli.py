@@ -133,6 +133,8 @@ X_DIGITS = f"at most {X_DIGITS_MAX} digits"
     # Checked by the library, not the handler.
     (("gf", "inc-tl", "0", "7"), "s >= 1"),
     (("gf", "inc-tl", "1", "7", "--variant", "printed"), "only the corrected variant"),
+    # A flag after --x is still a flag, not a value.
+    (("gf", "inc-tl", "1", "7", "--x", "--format", "json"), "--x: expected one argument"),
 ])
 def test_indices_past_the_bounds_exit_2_without_allocating(capsys, argv, bound):
     run(capsys, "seq", "tribonacci", "0", "3")   # imports and parser caches
@@ -295,6 +297,28 @@ def test_incomplete_rational_value(capsys):
     code, out, _ = run(capsys, "incomplete", "tl", "2", "1", "--x", "1/2")
     assert code == 0
     assert out == "17/16\n"
+
+
+@pytest.mark.parametrize("argv, value", [
+    (("gf", "inc-tl", "1", "7", "--x"), "-1/2"),
+    (("gf", "inc-tl", "1", "7", "--format", "json", "--x"), "-1/2"),
+    (("incomplete", "tl", "5", "2", "--x"), "-3/4"),
+    (("verify", "--id", "thm12", "--s-max", "2", "--order", "8", "--x-points"), "-2,1"),
+])
+def test_a_value_with_a_leading_minus_reads_as_with_an_equals_sign(capsys, argv, value):
+    spaced = run(capsys, *argv, value)
+    joined = run(capsys, *argv[:-1], f"{argv[-1]}={value}")
+    assert spaced == joined
+    assert spaced[0] == 0 and spaced[1] and spaced[2] == ""
+
+
+def test_negative_rational_x(capsys):
+    code, out, _ = run(capsys, "gf", "inc-tl", "1", "7", "--x", "-1/2")
+    assert code == 0
+    # K_2^(1)(x) = x^4 + 2x at z^2
+    assert out == "[0,0,-15/16,169/64,225/256,281/1024,337/4096], matches_direct=true\n"
+    code, out, _ = run(capsys, "gf", "inc-tl", "1", "7", "--x", "-1/2", "--format", "json")
+    assert code == 0 and json.loads(out)["x"] == "-1/2"
 
 
 def test_incomplete_usage_error_names_interval(capsys):

@@ -13,8 +13,6 @@ from triblucas.incomplete import (
     HOM_POLY_37,
     NONHOM_NUM_310,
     NONHOM_POLY_38,
-    NUMBERS,
-    POLYNOMIALS,
     TRI_NONHOM_15,
     BINOMIAL_SUM,
     TRIANGLE_SUM,
@@ -33,6 +31,7 @@ from triblucas.incomplete import (
 )
 from triblucas.poly import IntPoly, poly_parse
 from triblucas.sequences import tribonacci_lucas_poly, tribonacci_poly
+from triblucas.triangles import TriangleKind
 
 TABLE_3 = {
     (1, 0): "x^2",
@@ -257,24 +256,24 @@ def test_partial_sum_domain():
 
 
 def test_row_sum_examples():
-    assert row_sum_lhs_rhs(4, NUMBERS) == (21, 21)
-    lhs, rhs = row_sum_lhs_rhs(3, POLYNOMIALS)
+    assert row_sum_lhs_rhs(4, TriangleKind.NUMBERS) == (21, 21)
+    lhs, rhs = row_sum_lhs_rhs(3, TriangleKind.POLYNOMIALS)
     assert lhs == rhs == poly_parse("2*x^6 + 3*x^3 + 3")
-    assert row_sum_lhs_rhs(1, NUMBERS) == (1, 1)
+    assert row_sum_lhs_rhs(1, TriangleKind.NUMBERS) == (1, 1)
 
 
 def test_row_sum_sweep():
     for n in range(1, 25):
-        lhs, rhs = row_sum_lhs_rhs(n, POLYNOMIALS)
+        lhs, rhs = row_sum_lhs_rhs(n, TriangleKind.POLYNOMIALS)
         assert lhs == rhs, n
     for n in range(1, 41):
-        lhs, rhs = row_sum_lhs_rhs(n, NUMBERS)
+        lhs, rhs = row_sum_lhs_rhs(n, TriangleKind.NUMBERS)
         assert lhs == rhs, n
 
 
 def test_row_sum_domain():
     with pytest.raises(DomainError):
-        row_sum_lhs_rhs(0, NUMBERS)
+        row_sum_lhs_rhs(0, TriangleKind.NUMBERS)
     with pytest.raises(DomainError):
         row_sum_lhs_rhs(3, "matrices")
 

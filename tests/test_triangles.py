@@ -160,9 +160,8 @@ def _closed(kind, n, i):
 
 def _fresh_columns():
     """Patch in empty column memos for both kinds, built like the module's."""
-    return mock.patch.multiple(
-        triangles, _NUMBER_COLUMNS=triangles._triangle(TriangleKind.NUMBERS),
-        _POLY_COLUMNS=triangles._triangle(TriangleKind.POLYNOMIALS))
+    return mock.patch.dict(triangles._COLUMNS,
+                           {kind: triangles._triangle(kind) for kind in TriangleKind})
 
 
 def test_deep_entry_builds_only_its_columns():
@@ -173,7 +172,7 @@ def test_deep_entry_builds_only_its_columns():
             "tracemalloc.start()\n"
             "triangles.triangle_entry_poly(200, 4)\n"
             "peak = tracemalloc.get_traced_memory()[1]\n"
-            "columns = triangles._POLY_COLUMNS._values\n"
+            "columns = triangles._COLUMNS[triangles.TriangleKind.POLYNOMIALS]._values\n"
             "print(peak, [j + len(column._values) - 1 for j, column in enumerate(columns)])\n")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
