@@ -31,7 +31,6 @@ from .errors import DomainError, InternalConsistencyError
 from .poly import IntPoly
 from .sequences import _Frozen, cached, tribonacci_lucas_number, tribonacci_lucas_poly
 from .triangles import (
-    _RING,
     TriangleKind,
     _binomial_diagonal_terms,
     _entry_function,
@@ -50,15 +49,13 @@ class IncompleteFamily(enum.Enum):
     INC_TRIBONACCI_LUCAS = "inc-tl"
 
 
-def max_level(family: IncompleteFamily, n: int) -> int:
-    """Largest valid truncation level s for index n in the given family."""
-    if family is IncompleteFamily.INC_TRIBONACCI:
-        return (n - 1) // 2
-    return n // 2
-
-
 def min_index(family: IncompleteFamily) -> int:
     return 1 if family is IncompleteFamily.INC_TRIBONACCI else 0
+
+
+def max_level(family: IncompleteFamily, n: int) -> int:
+    """Largest valid truncation level s for index n in the given family."""
+    return (n - min_index(family)) // 2
 
 
 def is_valid(family: IncompleteFamily, n: int, s: int) -> bool:
@@ -218,7 +215,7 @@ def boundary_form(n: int, which: str) -> IntPoly:
 
 
 def _check_kind(kind: TriangleKind) -> None:
-    if kind not in _RING:
+    if not isinstance(kind, TriangleKind):
         raise DomainError(f"unknown kind {kind!r}")
 
 
@@ -234,9 +231,9 @@ def tl_relation_rhs(n: int, s: int, kind: TriangleKind = TriangleKind.POLYNOMIAL
         raise DomainError(
             f"level s={s} outside the valid interval 1..{(n - 1) // 2} at n={n}")
     _check_kind(kind)
-    t, ring = _VALUES[IncompleteFamily.INC_TRIBONACCI, kind], _RING[kind]
+    t = _VALUES[IncompleteFamily.INC_TRIBONACCI, kind]
     # x^2·0 + x·T_{n-1}^(s-1) + (T_{n+1}^(s) + 2 T_{n-2}^(s-1))
-    return ring.step(ring.cell(0, 0), t(n - 1, s - 1), t(n + 1, s) + 2 * t(n - 2, s - 1))
+    return kind.step(kind.cell(0, 0), t(n - 1, s - 1), t(n + 1, s) + 2 * t(n - 2, s - 1))
 
 
 def partial_sum_lhs_rhs(n: int, h: int, s: int) -> Tuple[int, int]:
@@ -310,7 +307,7 @@ def _level(family: IncompleteFamily, kind: TriangleKind, n: int, s: int):
     # Level s alone of F_n^(s): B(n-s, s)(x) for K, the level-s cells of the sum for T.
     if family is IncompleteFamily.INC_TRIBONACCI_LUCAS:
         return _entry_function(kind)(n - s, s)
-    return _RING[kind].collect(_tribonacci_level(n, s))
+    return kind.collect(_tribonacci_level(n, s))
 
 
 def recurrence_step(n: int, s: int, variant: str) -> Tuple:
@@ -326,7 +323,7 @@ def recurrence_step(n: int, s: int, variant: str) -> Tuple:
         raise DomainError(f"unknown recurrence variant {variant!r}")
     family, kind, homogeneous = _RECURRENCES[variant]
     check_domain(family, n, s)
-    value, step = _VALUES[family, kind], _RING[kind].step
+    value, step = _VALUES[family, kind], kind.step
     if homogeneous:
         return (value(n + 3, s + 1),
                 step(value(n + 2, s + 1), value(n + 1, s), value(n, s)))

@@ -216,40 +216,35 @@ class IntPoly:
     def evaluate(self, x0: Union[int, Fraction]) -> Union[int, Fraction]:
         """Exact Horner evaluation; the result type follows the input type.
 
-        At a ``Fraction`` x0 = p/q of a degree-d polynomial the sum
-        sum_k c_k p^k q^(d-k) is accumulated in ``int`` and divided by q^d
-        once, so only one ``Fraction`` is built (``Fraction(0)`` for the
-        zero polynomial).  Horner steps only over the nonzero coefficients:
-        the gap g between two of them costs one multiply by p^g and one by
-        q^g, and so does the run of g zeros below the lowest one.  Every
-        family polynomial here lives on one residue class of powers mod 3,
-        so two coefficients in three are skipped.
+        At x0 = p/q (q = 1 for an ``int`` x0) a degree-d polynomial's sum
+        sum_k c_k p^k q^(d-k) is accumulated in ``int``; at a ``Fraction``
+        x0 it is divided by q^d once, so only one ``Fraction`` is built
+        (``Fraction(0)`` for the zero polynomial).  Horner steps only over
+        the nonzero coefficients: the gap g between two of them costs one
+        multiply by p^g and one by q^g, and so does the run of g zeros below
+        the lowest one.  Every family polynomial here lives on one residue
+        class of powers mod 3, so two coefficients in three are skipped.
         """
-        if isinstance(x0, Fraction):
-            p, q = x0.numerator, x0.denominator
-            coeffs = self._coeffs
-            if not coeffs:
-                return Fraction(0)
-            last = len(coeffs) - 1      # power of the last nonzero coefficient
-            acc, scale = coeffs[last], 1
-            gap, p_gap, q_gap = 1, p, q
-            for k in range(last - 1, -1, -1):
-                c = coeffs[k]
-                if c:
-                    if last - k != gap:
-                        gap = last - k
-                        p_gap, q_gap = p ** gap, q ** gap
-                    scale *= q_gap
-                    acc = acc * p_gap + c * scale
-                    last = k
-            if last:
-                acc *= p ** last
-                scale *= q ** last
-            return Fraction(acc, scale)
-        acc: Union[int, Fraction] = 0
-        for c in reversed(self._coeffs):
-            acc = acc * x0 + c
-        return acc
+        p, q = x0.numerator, x0.denominator
+        coeffs = self._coeffs
+        if not coeffs:
+            return 0 * x0       # zero, in the type of x0
+        last = len(coeffs) - 1      # power of the last nonzero coefficient
+        acc, scale = coeffs[last], 1
+        gap, p_gap, q_gap = 1, p, q
+        for k in range(last - 1, -1, -1):
+            c = coeffs[k]
+            if c:
+                if last - k != gap:
+                    gap = last - k
+                    p_gap, q_gap = p ** gap, q ** gap
+                scale *= q_gap
+                acc = acc * p_gap + c * scale
+                last = k
+        if last:
+            acc *= p ** last
+            scale *= q ** last
+        return Fraction(acc, scale) if isinstance(x0, Fraction) else acc
 
     def __call__(self, x0: Union[int, Fraction]) -> Union[int, Fraction]:
         return self.evaluate(x0)

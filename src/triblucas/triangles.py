@@ -21,6 +21,11 @@ its left.  Every memo grows under its own lock and is read without one.
 Reading B(n, i) grows columns j = 0..i from left to right, each down to row
 n-i+j, so no cell right of the rightmost column read is ever built and no
 growth recurses.  ``triangle_rows`` assembles rows from the columns.
+
+Each ``TriangleKind`` carries how it builds its values (its cell c·x^k,
+step x^2 a + x b + c, term collector and renderer) and ``columns``, its
+triangle memo, registered as ``triangles.triangle_entry_number`` or
+``triangles.triangle_entry_poly``.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from __future__ import annotations
 import enum
 from itertools import compress
 from math import comb
-from typing import Callable, Iterable, Iterator, List, NamedTuple, Tuple, Union
+from typing import Iterator, List, NamedTuple, Tuple, Union
 
 from .errors import DomainError, InternalConsistencyError
 from .poly import IntPoly, poly_format
@@ -40,63 +45,9 @@ RECURRENCE = "recurrence"
 CLOSED_FORM = "closed_form"
 
 
-class TriangleKind(enum.Enum):
-    """Numbers or polynomials: every number is its polynomial twin at x = 1."""
-
-    NUMBERS = "numbers"
-    POLYNOMIALS = "polynomials"
-
-    def __str__(self) -> str:   # as a counterexample's parameter prints it
-        return self.value
-
-
-class TriangleTable(NamedTuple):
-    """Rows 0..row_count-1 of one triangle; row n holds columns 0..n.
-
-    Immutable; compares and hashes as the tuple (kind, rows).
-    """
-
-    kind: TriangleKind
-    rows: Tuple[Tuple[Entry, ...], ...]
-
-    def to_json_dict(self) -> dict:
-        """Ragged array of strings plus the kind tag."""
-        render = _RING[self.kind].render
-        return {
-            "kind": self.kind.value,
-            "rows": [[render(entry) for entry in row] for row in self.rows],
-        }
-
-
-class _Ring(NamedTuple):
-    """How one kind builds its values; numbers are the polynomials at x = 1."""
-
-    cell: Callable[[int, int], Entry]                   # (c, k) -> c·x^k
-    step: Callable[[Entry, Entry, Entry], Entry]        # (a, b, c) -> x^2·a + x·b + c
-    collect: Callable[[Iterable[Tuple[int, int]]], Entry]   # sum of c·x^k over (k, c)
-    render: Callable[[Entry], str]
-
-
-_RING = {
-    TriangleKind.NUMBERS: _Ring(lambda c, k: c, lambda a, b, c: a + b + c,
-                                lambda terms: sum(coeff for _, coeff in terms), str),
-    TriangleKind.POLYNOMIALS: _Ring(IntPoly.monomial, _shift_add, IntPoly.from_terms,
-                                    poly_format),
-}
-
-
-def exact_div(numerator: int, denominator: int) -> int:
-    """Integer division that must be exact; a remainder is a transcription bug."""
-    q, r = divmod(numerator, denominator)
-    if r != 0:
-        raise InternalConsistencyError(
-            f"inexact division {numerator}/{denominator} in a closed form")
-    return q
-
-
 def _triangle(kind: TriangleKind) -> _GrowingCache:
     """An empty memo of one triangle's columns, each grown only when read."""
-    cell, step = _RING[kind].cell, _RING[kind].step
+    cell, step = kind.cell, kind.step
 
     def new_column(columns: List[_GrowingCache]) -> _GrowingCache:
         # Column i = len(columns): B(i+k, i) from B(i+k-1, i), B(i+k-1, i-1)
@@ -116,6 +67,55 @@ def _triangle(kind: TriangleKind) -> _GrowingCache:
     return _GrowingCache([], add_columns)
 
 
+class TriangleKind(enum.Enum):
+    """Numbers or polynomials: every number is its polynomial twin at x = 1."""
+
+    NUMBERS = ("numbers", "triangles.triangle_entry_number", lambda c, k: c,
+               lambda a, b, c: a + b + c, lambda terms: sum(coeff for _, coeff in terms), str)
+    POLYNOMIALS = ("polynomials", "triangles.triangle_entry_poly", IntPoly.monomial,
+                   _shift_add, IntPoly.from_terms, poly_format)
+
+    def __new__(cls, value: str, memo_name: str, cell, step, collect, render):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.cell = cell            # (c, k) -> c·x^k
+        kind.step = step            # (a, b, c) -> x^2·a + x·b + c
+        kind.collect = collect      # sum of c·x^k over (k, c) pairs
+        kind.render = render        # entry -> text
+        kind.columns = register_memo(memo_name, _triangle(kind))
+        return kind
+
+    def __str__(self) -> str:   # as a counterexample's parameter prints it
+        return self.value
+
+
+class TriangleTable(NamedTuple):
+    """Rows 0..row_count-1 of one triangle; row n holds columns 0..n.
+
+    Immutable; compares and hashes as the tuple (kind, rows).
+    """
+
+    kind: TriangleKind
+    rows: Tuple[Tuple[Entry, ...], ...]
+
+    def to_json_dict(self) -> dict:
+        """Ragged array of strings plus the kind tag."""
+        render = self.kind.render
+        return {
+            "kind": self.kind.value,
+            "rows": [[render(entry) for entry in row] for row in self.rows],
+        }
+
+
+def exact_div(numerator: int, denominator: int) -> int:
+    """Integer division that must be exact; a remainder is a transcription bug."""
+    q, r = divmod(numerator, denominator)
+    if r != 0:
+        raise InternalConsistencyError(
+            f"inexact division {numerator}/{denominator} in a closed form")
+    return q
+
+
 def _cell(memo: _GrowingCache, n: int, i: int) -> Entry:
     """B(n, i); the caller has checked 0 <= i <= n.
 
@@ -131,14 +131,6 @@ def _cell(memo: _GrowingCache, n: int, i: int) -> Entry:
     for j in range(i + 1):
         columns[j].grow(n - i + 1)
     return columns[i]._values[n - i]
-
-
-_COLUMNS = {
-    TriangleKind.NUMBERS: register_memo("triangles.triangle_entry_number",
-                                        _triangle(TriangleKind.NUMBERS)),
-    TriangleKind.POLYNOMIALS: register_memo("triangles.triangle_entry_poly",
-                                            _triangle(TriangleKind.POLYNOMIALS)),
-}
 
 
 def _check_cell(n: int, i: int) -> None:
@@ -161,12 +153,12 @@ def _closed_terms(n: int, i: int):
 def _entry(kind: TriangleKind, n: int, i: int, method: str) -> Entry:
     _check_cell(n, i)
     if method == RECURRENCE:
-        return _cell(_COLUMNS[kind], n, i)
+        return _cell(kind.columns, n, i)
     if method != CLOSED_FORM:
         raise DomainError(f"unknown method {method!r}")
     if n == 0:
-        return _RING[kind].cell(3, 0)
-    return _RING[kind].collect(_closed_terms(n, i))
+        return kind.cell(3, 0)
+    return kind.collect(_closed_terms(n, i))
 
 
 def triangle_entry_number(n: int, i: int, method: str = RECURRENCE) -> int:
@@ -189,7 +181,7 @@ def triangle_rows(kind: TriangleKind, row_count: int) -> TriangleTable:
     if row_count < 1:
         raise DomainError(f"row_count must be >= 1, got {row_count}")
     columns = [column.grow(row_count - i)
-               for i, column in enumerate(_COLUMNS[kind].grow(row_count)[:row_count])]
+               for i, column in enumerate(kind.columns.grow(row_count)[:row_count])]
     return TriangleTable(kind, tuple(tuple(columns[i][n - i] for i in range(n + 1))
                                      for n in range(row_count)))
 
@@ -237,7 +229,7 @@ def _binomial_diagonal_terms(n: int, top: int, weight_by_i: bool = False):
 def _binomial_diagonal(kind: TriangleKind, n: int, weight_by_i: bool) -> Entry:
     if n < 1:
         raise DomainError(f"index must be >= 1, got {n}")
-    return _RING[kind].collect(_binomial_diagonal_terms(n, n // 2, weight_by_i))
+    return kind.collect(_binomial_diagonal_terms(n, n // 2, weight_by_i))
 
 
 def binomial_diagonal_sum(kind: TriangleKind, n: int) -> Entry:

@@ -44,7 +44,7 @@ from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequenc
 
 from . import genfunc as gf
 from . import incomplete as inc
-from .errors import DomainError, UnknownIdentityError
+from .errors import DomainError, InternalConsistencyError, UnknownIdentityError
 from .sequences import (
     MEMOS,
     _Frozen,
@@ -235,6 +235,10 @@ def _x_set(rng: SweepRange) -> str:
     return f"x in {{{xs}}}" + (" and symbolic x" if rng.include_symbolic else "")
 
 
+def _params(point: dict) -> Tuple[Tuple[str, str], ...]:
+    return tuple((k, "symbolic" if v is None else gf.render_coeff(v)) for k, v in point.items())
+
+
 def _walk(axes, rng: SweepRange, point: dict) -> Iterator[dict]:
     # each point of the lattice, as one dict updated in place
     if not axes:
@@ -264,21 +268,32 @@ class CatalogEntry(NamedTuple):
     render: Callable[[object], str] = gf.render_coeff
 
     def points(self, rng: SweepRange) -> Iterator[Tuple[dict, object, object]]:
-        """(point, lhs, rhs) at each point of the lattice, in walk order."""
+        """(point, lhs, rhs) at each point of the lattice, in walk order.
+
+        The range was checked when it was built, so a ``DomainError`` from
+        the sides is a library bug: it is raised as an
+        ``InternalConsistencyError`` that names the id and the point.
+        """
         *outer, inner = self.axes
         sides = self.sides
-        for point in _walk(outer, rng, {}):
-            args = [point[axis.name] for axis in outer]
-            if inner is POWERS:
-                for power, (lhs, rhs) in enumerate(zip(*sides(*args, rng.order))):
-                    point["power"] = power
-                    yield point, lhs, rhs
-            else:
-                args.append(None)
-                for value in inner.values(rng, point):
-                    args[-1] = point[inner.name] = value
-                    lhs, rhs = sides(*args)
-                    yield point, lhs, rhs
+        point: dict = {}
+        try:
+            for _ in _walk(outer, rng, point):
+                args = [point[axis.name] for axis in outer]
+                if inner is POWERS:
+                    point.pop("power", None)    # the series are built before any power
+                    for power, (lhs, rhs) in enumerate(zip(*sides(*args, rng.order))):
+                        point["power"] = power
+                        yield point, lhs, rhs
+                else:
+                    args.append(None)
+                    for value in inner.values(rng, point):
+                        args[-1] = point[inner.name] = value
+                        lhs, rhs = sides(*args)
+                        yield point, lhs, rhs
+        except DomainError as exc:
+            where = ", ".join(f"{k}={v}" for k, v in _params(point))
+            raise InternalConsistencyError(f"{self.id} at {where}: {exc}") from exc
 
     def reads(self, rng: SweepRange) -> Iterator[Tuple[str, object]]:
         """(registry name, key) of each memo entry that the sides read, over
@@ -483,9 +498,7 @@ def run_identity(identity_id: str, rng: Optional[SweepRange] = None) -> Identity
         if not entry.agree(lhs, rhs):
             total_failures += 1
             if len(examples) < MAX_COUNTEREXAMPLES:
-                params = tuple((k, "symbolic" if v is None else gf.render_coeff(v))
-                               for k, v in point.items())
-                examples.append(Failure(params, entry.render(lhs), entry.render(rhs)))
+                examples.append(Failure(_params(point), entry.render(lhs), entry.render(rhs)))
     notes = f"domain: {entry.domain(rng)}"
     if entry.extra_notes:
         notes += f"; {entry.extra_notes}"

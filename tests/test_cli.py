@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from triblucas import incomplete
 from triblucas.cli import (
     GF_ORDER_MAX,
     GF_S_MAX,
@@ -19,6 +20,7 @@ from triblucas.cli import (
     X_DIGITS_MAX,
     main,
 )
+from triblucas.errors import DomainError
 from triblucas.sequences import (
     NUMBER_MEMO_CAP,
     tribonacci_lucas_number,
@@ -202,6 +204,19 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
                    "loaded = {'dataclasses', 'inspect'} & set(sys.modules); "
                    "assert not loaded, loaded")
     assert done.returncode == 0, done.stderr
+
+
+def test_a_domain_error_inside_a_side_is_an_internal_error(capsys, monkeypatch):
+    # A side that leaves a domain is a library bug, not a usage error.
+    def leaves_its_domain(n, s, variant):
+        raise DomainError(f"level s={s + 1} outside the valid interval")
+
+    monkeypatch.setattr(incomplete, "recurrence_step", leaves_its_domain)
+    code, out, err = run(capsys, "verify", "--id", "eq3.7")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: internal: InternalConsistencyError: eq3.7 at n=1, s=0: ")
 
 
 def test_a_reader_that_closes_the_pipe_gets_exit_141_and_no_error():

@@ -437,3 +437,11 @@ def test_zero_polynomial_keeps_the_input_type():
     assert type(IntPoly.zero().evaluate(Fraction(0))) is Fraction
     assert type(IntPoly.zero().evaluate(5)) is int
     assert type(IntPoly([0, 0, 1]).evaluate(Fraction(0))) is Fraction
+
+
+@settings(max_examples=300)
+@given(st.one_of(small_polys, sparse_polys), st.integers(-10 ** 6, 10 ** 6))
+def test_an_int_point_is_the_fraction_point_with_denominator_one(p, k):
+    at_int = p.evaluate(k)
+    assert type(at_int) is int
+    assert at_int == p.evaluate(Fraction(k))

@@ -1,8 +1,11 @@
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from functools import lru_cache
 from pathlib import Path
 from unittest import mock
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 from triblucas import triangles
 from triblucas.errors import DomainError
 from triblucas.poly import IntPoly, poly_parse
-from triblucas.sequences import tribonacci_lucas_number, tribonacci_lucas_poly
+from triblucas.sequences import MEMOS, tribonacci_lucas_number, tribonacci_lucas_poly
 from triblucas.triangles import (
     CLOSED_FORM,
     RECURRENCE,
@@ -139,6 +142,32 @@ def test_domain_errors():
         binomial_diagonal_sum(TriangleKind.NUMBERS, 0)
 
 
+def test_kinds_keep_their_public_face():
+    assert TriangleKind("numbers") is TriangleKind.NUMBERS
+    assert TriangleKind("polynomials") is TriangleKind.POLYNOMIALS
+    # closed-vs-recurrence-triangle walks the kinds in this order
+    assert [kind.value for kind in TriangleKind] == ["numbers", "polynomials"]
+    for kind in TriangleKind:
+        assert str(kind) == kind.value
+        assert pickle.loads(pickle.dumps(kind)) is kind
+        assert copy.deepcopy(kind) is kind
+    assert MEMOS["triangles.triangle_entry_number"] is TriangleKind.NUMBERS.columns
+    assert MEMOS["triangles.triangle_entry_poly"] is TriangleKind.POLYNOMIALS.columns
+
+
+def test_registry_clear_empties_the_memo_that_reads_use():
+    for name, kind, read in (("triangles.triangle_entry_number", TriangleKind.NUMBERS,
+                              triangle_entry_number),
+                             ("triangles.triangle_entry_poly", TriangleKind.POLYNOMIALS,
+                              triangle_entry_poly)):
+        expected = read(12, 5)
+        assert len(kind.columns) >= 6
+        MEMOS[name].clear()
+        assert len(kind.columns) == 0
+        assert read(12, 5) == expected
+        assert len(kind.columns) == 6
+
+
 def test_table_json_shape():
     payload = triangle_rows(TriangleKind.POLYNOMIALS, 3).to_json_dict()
     assert payload["kind"] == "polynomials"
@@ -160,8 +189,10 @@ def _closed(kind, n, i):
 
 def _fresh_columns():
     """Patch in empty column memos for both kinds, built like the module's."""
-    return mock.patch.dict(triangles._COLUMNS,
-                           {kind: triangles._triangle(kind) for kind in TriangleKind})
+    stack = ExitStack()
+    for kind in TriangleKind:
+        stack.enter_context(mock.patch.object(kind, "columns", triangles._triangle(kind)))
+    return stack
 
 
 def test_deep_entry_builds_only_its_columns():
@@ -172,7 +203,7 @@ def test_deep_entry_builds_only_its_columns():
             "tracemalloc.start()\n"
             "triangles.triangle_entry_poly(200, 4)\n"
             "peak = tracemalloc.get_traced_memory()[1]\n"
-            "columns = triangles._COLUMNS[triangles.TriangleKind.POLYNOMIALS]._values\n"
+            "columns = triangles.TriangleKind.POLYNOMIALS.columns._values\n"
             "print(peak, [j + len(column._values) - 1 for j, column in enumerate(columns)])\n")
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
