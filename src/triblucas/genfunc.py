@@ -589,7 +589,7 @@ def direct_incomplete_coeff(family: IncompleteFamily, n: int, s: int,
         p = incomplete_tl_poly(n, s)
     if x is None:
         return p
-    return p.evaluate(Fraction(x))
+    return p.evaluate(x if isinstance(x, Fraction) else Fraction(x))
 
 
 # (family, s, x, order) -> the direct values below the order

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice, product
 from typing import Iterable, Iterator, Optional, Tuple, Union
 
@@ -42,10 +43,14 @@ class IntPoly:
 
     The degree of the zero polynomial is ``None`` (a distinguished
     minus-infinity marker, never a number).  ``int`` operands coerce to
-    constant polynomials in all arithmetic.
+    constant polynomials in all arithmetic, and a constant polynomial
+    equals and hashes as its ``int``.  The ``_text`` slot is derived state,
+    like the hash ``RationalGF`` keeps: unset until the first
+    :func:`poly_format` call stores the canonical text there, and never
+    part of equality or hashing.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_text")
 
     def __init__(self, coeffs: Iterable[int] = ()):
         c = list(coeffs)
@@ -209,7 +214,11 @@ class IntPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        # A constant hashes as the int it equals (the zero polynomial as 0).
+        c = self._coeffs
+        if len(c) > 1:
+            return hash(c)
+        return hash(c[0]) if c else 0
 
     # -- evaluation ----------------------------------------------------------
 
@@ -296,8 +305,16 @@ def poly_format(p: IntPoly) -> str:
 
     The zero polynomial renders ``0``; unit coefficients are suppressed
     except on the constant term; round-trips through :func:`poly_parse`.
+    The first call on ``p`` keeps the text in ``p``'s ``_text`` slot, so
+    formatting it again, a memo-held family polynomial say, reads the slot.
     """
-    coeffs = p.coeffs
+    text = getattr(p, "_text", None)
+    if text is None:
+        text = p._text = _format(p._coeffs)
+    return text
+
+
+def _format(coeffs: Tuple[int, ...]) -> str:
     if not coeffs:
         return "0"
     parts = []
@@ -376,6 +393,9 @@ def _term_error(text: str, index: int, slot: int,
     return PolyParseError(f"{kind} {shown!r} at position {pos} {problem}")
 
 
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 def poly_parse(text: str) -> IntPoly:
     """Inverse of :func:`poly_format` (whitespace tolerant, any term order).
 
@@ -388,14 +408,24 @@ def poly_parse(text: str) -> IntPoly:
     So is an exponent above ``POLY_DEGREE_MAX``, or a coefficient or
     exponent with more digits than ``sys.get_int_max_str_digits()``, all
     before anything is allocated.
+
+    Parses are memoised in ``_parse``, ``poly._parse`` in ``sequences.MEMOS``,
+    keyed by the text and by ``sys.get_int_max_str_digits()``: a repeated
+    text under the same limit returns the stored polynomial, and a text that
+    raises is never stored, so it raises again on every call.
     """
+    return _parse(text, _int_max_str_digits())
+
+
+@lru_cache(maxsize=None)
+def _parse(text: str, int_max_str_digits: int) -> IntPoly:
     if not text.strip():
         raise PolyParseError("empty polynomial text at position 0")
     bad = _BAD_CHAR.search(text)
     if bad:
         raise PolyParseError(
             f"unexpected character {bad.group()!r} at position {bad.start()}")
-    max_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or len(text)
+    max_digits = int_max_str_digits or len(text)
     terms = []
     for index, slots in enumerate(_TERM.findall(text)):
         sign, coeff, star, x, caret, exp = slots

@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Sequence, Tuple, TypeVar
 
+from . import poly
 from .errors import DomainError, NumericalInstabilityError
 from .poly import IntPoly
 
@@ -162,6 +163,11 @@ def cached(fn: Callable) -> Callable:
     memo = lru_cache(maxsize=None)(fn)
     register_memo(f"{fn.__module__.rsplit('.', 1)[-1]}.{fn.__name__}", _Cached(memo))
     return memo
+
+
+# poly sits below this module and cannot import cached, so its memo of
+# parsed texts is registered here.
+register_memo("poly._parse", _Cached(poly._parse))
 
 
 def _by_step(step: Callable[[List[V]], V]) -> Callable[[List[V], int], None]:

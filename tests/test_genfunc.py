@@ -247,6 +247,13 @@ def test_gf_vs_direct_rational_point():
     assert cmp.ok
 
 
+@pytest.mark.parametrize("x", [2, Fraction(2), Fraction(-3, 5)])
+def test_a_direct_coefficient_at_a_point_is_a_fraction(x):
+    got = direct_incomplete_coeff(TL, 6, 2, x)
+    assert type(got) is Fraction
+    assert got == poly_parse("x^12 + 6*x^9 + 15*x^6 + 12*x^3 + 3").evaluate(Fraction(x))
+
+
 def test_gf_vs_direct_rejects_printed_tl():
     with pytest.raises(DomainError):
         gf_vs_direct(TL, 1, GFVariant.AS_PRINTED, Fraction(1), 8)
@@ -355,6 +362,13 @@ _TRIB_FACTOR = (1, -_X2, -_X, -1)
 _ON_LATTICE = ([_X, 1, _X2], _zmul(_TRIB_FACTOR, (1, -_X2)), (_TRIB_FACTOR, (1, -_X2)))
 _OFF_LATTICE = ([_X, 1, _X2], _zmul(_TRIB_FACTOR, (1, -_X2 - _X)),
                 (_TRIB_FACTOR, (1, -_X2 - _X)))
+
+
+def test_a_pair_of_constant_polynomials_hashes_as_its_int_twin():
+    poly_gf = RationalGF((IntPoly.constant(2),), (IntPoly.one(), IntPoly.constant(-1)))
+    int_gf = RationalGF((2,), (1, -1))
+    assert poly_gf == int_gf and hash(poly_gf) == hash(int_gf)
+    assert len({poly_gf, int_gf}) == 1
 
 
 @settings(max_examples=250)

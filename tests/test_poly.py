@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 import sys
 import tracemalloc
@@ -18,6 +20,7 @@ from triblucas.poly import (
     poly_mul,
     poly_parse,
 )
+from triblucas.sequences import MEMOS
 
 X = IntPoly.x()
 
@@ -121,6 +124,14 @@ def test_parse_whitespace_tolerant():
     assert poly_parse("  x^2+2* x -3 ") == IntPoly([-3, 0, 1]) + IntPoly([0, 2])
 
 
+@pytest.mark.parametrize("value", [0, 5, -5, 2 ** 100])
+def test_a_constant_hashes_as_the_int_it_equals(value):
+    p = IntPoly.constant(value)
+    assert p == value and hash(p) == hash(value)
+    assert len({p, value}) == 1
+    assert {value: "int"}[p] == "int" and {p: "poly"}[value] == "poly"
+
+
 def test_scalar_coercion():
     p = IntPoly([0, 1])
     assert 2 * p + 1 == IntPoly([1, 2])
@@ -168,6 +179,38 @@ def test_parse_format_roundtrip(p, data):
                                 min_size=len(tokens) + 1, max_size=len(tokens) + 1))
     shuffled = "".join(map("".join, zip(spaces, tokens + [""])))
     assert poly_parse(shuffled) == p
+
+
+def test_the_parse_memo_keys_on_the_digit_limit(int_digit_limit):
+    text = "x + " + "1" * 5000
+    sys.set_int_max_str_digits(0)
+    assert poly_parse(text) == IntPoly([int("1" * 5000), 1])
+    sys.set_int_max_str_digits(4300)
+    with pytest.raises(PolyParseError) as info:
+        poly_parse(text)
+    assert str(info.value) == ("coefficient '111111111111...' at position 4 has 5000 "
+                               "digits, more than the limit of 4300")
+
+
+def test_a_malformed_text_raises_on_every_call():
+    memo = MEMOS["poly._parse"]
+    before = len(memo)
+    for _ in range(3):
+        with pytest.raises(PolyParseError, match=r"unexpected token '\^' at position 2"):
+            poly_parse("x^^2")
+    assert len(memo) == before
+
+
+def test_a_formatted_polynomial_keeps_its_text():
+    p = IntPoly([3, 0, -4, 1])
+    assert not hasattr(p, "_text")
+    text = poly_format(p)
+    assert text == "x^3 - 4*x^2 + 3" and p._text == text
+    assert poly_format(p) is text
+    equal = (poly_parse("3 - 4*x^2 + x^3"), IntPoly.from_terms([(0, 3), (2, -4), (3, 1)]),
+             X ** 3 - 4 * X * X + 3, copy.copy(p), pickle.loads(pickle.dumps(p)))
+    for q in equal:
+        assert q == p and poly_format(q) == text
 
 
 # The parser that poly_parse replaced, one step per token; the reference for
