@@ -41,7 +41,6 @@ from .incomplete import (
 )
 from .poly import IntPoly, poly_add, poly_eval, poly_format, poly_mul, poly_parse
 from .sequences import (
-    BinetRoots,
     SequenceFamily,
     binet_estimate,
     binet_roots,

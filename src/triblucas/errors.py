@@ -18,7 +18,12 @@ class PolyParseError(ValueError):
 
 
 class NumericalInstabilityError(ArithmeticError):
-    """A floating-point evaluation left too large an imaginary residue."""
+    """A fixed-point Binet evaluation lost too much precision.
+
+    Raised by the integer code of the Binet cross-check: ``binet_roots`` when
+    its roots fail the Vieta residual bound, and ``binet_estimate`` when the
+    three terms leave too large an imaginary residue.
+    """
 
 
 class ExpansionError(ValueError):

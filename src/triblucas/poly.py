@@ -19,7 +19,6 @@ from typing import Iterable, Iterator, Optional, Tuple, Union
 
 from .errors import PolyParseError
 
-Rational = Fraction
 Scalar = Union[int, "IntPoly"]
 
 POLY_DEGREE_MAX = 65536

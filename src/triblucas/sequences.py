@@ -12,9 +12,7 @@ recurrence; from the cap up they come from t^n mod t^3 - t^2 - t - 1 by
 square-and-multiply (Fiduccia's doubling), so no memo grows past the cap.
 The closed forms over the characteristic roots of t^3 = t^2 + t + 1 are
 implemented as approximate checks only, in fixed-point integers; the
-iterative recurrences are always the source of truth.  The mpmath root
-finders (``binet_roots``, ``binet_roots_from_radicals``) are independent
-cross-checks of the fixed-point roots and import mpmath when called.
+iterative recurrences are always the source of truth.
 """
 
 from __future__ import annotations
@@ -24,14 +22,11 @@ import math
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Sequence, Tuple, TypeVar
+from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
 
 from . import poly
 from .errors import DomainError, NumericalInstabilityError
 from .poly import IntPoly
-
-if TYPE_CHECKING:
-    import mpmath
 
 V = TypeVar("V")
 M = TypeVar("M")
@@ -263,79 +258,6 @@ def tribonacci_lucas_poly(n: int) -> IntPoly:
     return _K_POLYS.get(n)
 
 
-class BinetRoots(NamedTuple):
-    """Floating approximations to the roots of t^3 - t^2 - t - 1.
-
-    ``alpha`` is the real root (~1.8392867552); ``beta``/``gamma`` are the
-    conjugate pair; ``w`` is the primitive cube root of unity used by the
-    radical expressions.  All values carry ``precision`` significant bits.
-    Immutable; compares and hashes as the tuple of its fields.
-    """
-
-    alpha: mpmath.mpc
-    beta: mpmath.mpc
-    gamma: mpmath.mpc
-    w: mpmath.mpc
-    precision: int
-
-    def vieta_residuals(self) -> tuple:
-        """|sum - 1|, |pairsum + 1|, |product - 1| for the three roots."""
-        a, b, g = self.alpha, self.beta, self.gamma
-        return (abs(a + b + g - 1), abs(a * b + a * g + b * g + 1),
-                abs(a * b * g - 1))
-
-
-def binet_roots(precision: int = 64) -> BinetRoots:
-    """Characteristic roots by complex root-finding at ``precision`` bits.
-
-    The cubic is solved once per precision and the result memoised.  Vieta
-    residuals are guaranteed below 2^(-precision/2); a failure of that bound
-    raises :class:`NumericalInstabilityError`.
-    """
-    if precision < 53:
-        raise DomainError(f"precision must be at least 53 bits, got {precision}")
-    return _solved_roots(precision)
-
-
-@cached
-def _solved_roots(precision: int) -> BinetRoots:
-    # One solve per precision: the roots are immutable and do not depend on
-    # the caller's mpmath context, because workprec sets it absolutely.
-    import mpmath
-
-    with mpmath.workprec(precision + 16):
-        roots = [mpmath.mpc(r)
-                 for r in mpmath.polyroots([1, -1, -1, -1], extraprec=precision)]
-        # one real root, one conjugate pair; beta is the positive-imag one
-        roots.sort(key=lambda r: abs(mpmath.im(r)))
-        alpha = roots[0]
-        beta, gamma = sorted(roots[1:], key=lambda r: mpmath.im(r), reverse=True)
-        w = mpmath.mpc(-1, mpmath.sqrt(3)) / 2
-        found = BinetRoots(alpha, beta, gamma, w, precision)
-        if max(found.vieta_residuals()) > mpmath.mpf(2) ** (-precision / 2):
-            raise NumericalInstabilityError(
-                "root refinement failed the Vieta residual bound; "
-                "request higher precision")
-        return found
-
-
-def binet_roots_from_radicals(precision: int = 64) -> BinetRoots:
-    """The same roots via the nested-radical expressions; cross-check path."""
-    if precision < 53:
-        raise DomainError(f"precision must be at least 53 bits, got {precision}")
-    import mpmath
-
-    with mpmath.workprec(precision + 16):
-        s33 = mpmath.sqrt(33)
-        a_cube = mpmath.cbrt(19 + 3 * s33)
-        b_cube = mpmath.cbrt(19 - 3 * s33)
-        w = mpmath.mpc(-1, mpmath.sqrt(3)) / 2
-        alpha = (1 + a_cube + b_cube) / 3
-        beta = (1 + w * a_cube + w ** 2 * b_cube) / 3
-        gamma = (1 + w ** 2 * a_cube + w * b_cube) / 3
-        return BinetRoots(mpmath.mpc(alpha), beta, gamma, w, precision)
-
-
 _NUMBER_FAMILIES = {
     SequenceFamily.TRIBONACCI_NUMBER,
     SequenceFamily.TRIBONACCI_LUCAS_NUMBER,
@@ -373,28 +295,34 @@ def _vieta_residuals(roots: Tuple[Fixed, Fixed, Fixed], bits: int) -> Tuple[Fixe
 
 
 @cached
-def _fixed_roots(bits: int) -> Tuple[Fixed, Fixed, Fixed]:
-    """alpha, beta, gamma of t^3 - t^2 - t - 1 with ``bits`` fractional bits.
+def binet_roots(precision: int = 64) -> Tuple[Fixed, Fixed, Fixed]:
+    """alpha, beta, gamma of t^3 - t^2 - t - 1, scaled by 2^precision.
 
-    alpha comes from integer Newton steps started at t = 2, where f(2) = 1
-    and f is convex, so the iterates fall monotonically onto the root; the
-    conjugate pair ((1 - alpha) ± i·sqrt(4/alpha - (1 - alpha)^2))/2 follows
-    from beta + gamma = 1 - alpha and beta·gamma = 1/alpha, and beta has the
-    positive imaginary part.  Vieta residuals above 2^(-bits/2) raise
+    Each root is a fixed-point ``(re, im)`` pair of ints with ``precision``
+    fractional bits, solved once per precision.  alpha comes from integer
+    Newton steps started at t = 2, where f(2) = 1 and f is convex, so the
+    iterates fall monotonically onto the root; the conjugate pair
+    ((1 - alpha) ± i·sqrt(4/alpha - (1 - alpha)^2))/2 follows from
+    beta + gamma = 1 - alpha and beta·gamma = 1/alpha, and beta has the
+    positive imaginary part.  A precision below 53 bits raises
+    :class:`DomainError` (on every call: a raise is never memoised), and
+    Vieta residuals above 2^(-precision/2) raise
     :class:`NumericalInstabilityError`.
     """
-    one = 1 << bits
-    a = 2 << bits
+    if precision < 53:
+        raise DomainError(f"precision must be at least 53 bits, got {precision}")
+    one = 1 << precision
+    a = 2 << precision
     while True:
-        a2 = a * a >> bits
-        step = (((a2 * a >> bits) - a2 - a - one) << bits) // (3 * a2 - 2 * a - one)
+        a2 = a * a >> precision
+        step = (((a2 * a >> precision) - a2 - a - one) << precision) // (3 * a2 - 2 * a - one)
         if step <= 0:
             break
         a -= step
-    disc = (4 << 2 * bits) // a - ((one - a) ** 2 >> bits)
-    re, im = (one - a) >> 1, math.isqrt(disc << bits) >> 1
+    disc = (4 << 2 * precision) // a - ((one - a) ** 2 >> precision)
+    re, im = (one - a) >> 1, math.isqrt(disc << precision) >> 1
     roots = ((a, 0), (re, im), (re, -im))
-    if any(part * part > one for r in _vieta_residuals(roots, bits) for part in r):
+    if any(part * part > one for r in _vieta_residuals(roots, precision) for part in r):
         raise NumericalInstabilityError(
             "root refinement failed the Vieta residual bound; "
             "request higher precision")
@@ -432,7 +360,7 @@ def binet_estimate(n: int, family: SequenceFamily,
     if precision < 53:
         raise DomainError(f"precision must be at least 53 bits, got {precision}")
     bits = precision + 32 + n.bit_length()
-    roots = _fixed_roots(bits)
+    roots = binet_roots(bits)
     terms = [_fixed_pow(r, n, bits) for r in roots]
     if family is SequenceFamily.TRIBONACCI_NUMBER:
         terms = [_fixed_mul(t, _t_weight(r, bits), bits) for t, r in zip(terms, roots)]

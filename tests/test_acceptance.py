@@ -15,6 +15,7 @@ from triblucas.genfunc import GFVariant, gf_vs_direct, q_gf, series_expand
 from triblucas.incomplete import IncompleteFamily
 from triblucas.sequences import (
     SequenceFamily,
+    _vieta_residuals,
     binet_estimate,
     binet_roots,
     tribonacci_lucas_number,
@@ -143,7 +144,8 @@ def test_criterion_7_binet():
         ]:
             estimate = binet_estimate(n, family, precision=64)
             assert abs(estimate - exact) <= 1e-6 * max(1, exact), (family, n)
-    assert max(binet_roots(64).vieta_residuals()) < 1e-9
+    residuals = _vieta_residuals(binet_roots(64), 64)
+    assert max(abs(part) for r in residuals for part in r) < 2 ** 64 // 10 ** 9
 
 
 @criterion("8 determinism")

@@ -232,7 +232,10 @@ def test_a_reader_that_closes_the_pipe_gets_exit_141_and_no_error():
 
 
 def test_default_verify_needs_no_mpmath():
-    done = _python("-c", "import sys; sys.modules['mpmath'] = None; from triblucas import cli; "
+    # The package root, its root finder and one estimate load no mpmath either.
+    done = _python("-c", "import sys; sys.modules['mpmath'] = None; import triblucas; "
+                   "from triblucas import cli; triblucas.binet_roots(64); "
+                   "triblucas.binet_estimate(40, triblucas.SequenceFamily.TRIBONACCI_NUMBER); "
                    "sys.exit(cli.main(['verify', '--format', 'json']))")
     assert done.returncode == 0, done.stderr
     assert done.stdout == (ROOT / "perfbench" / "reference"

@@ -1,6 +1,6 @@
+import math
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -12,7 +12,6 @@ from triblucas.sequences import (
     SequenceFamily,
     binet_estimate,
     binet_roots,
-    binet_roots_from_radicals,
     tribonacci_lucas_number,
     tribonacci_lucas_poly,
     tribonacci_number,
@@ -126,31 +125,53 @@ def test_shift_add_matches_shifted_sums(a, b, c):
 
 
 def test_binet_roots_alpha_and_vieta():
-    roots = binet_roots(64)
-    assert abs(mpmath.re(roots.alpha) - 1.8392867552) < 1e-9
-    assert abs(mpmath.im(roots.alpha)) < 1e-15
-    residuals = roots.vieta_residuals()
-    assert max(residuals) < 1e-9
-    assert max(residuals) < mpmath.mpf(2) ** (-roots.precision / 2)
+    (a_re, a_im), beta, gamma = binet_roots(64)
+    assert abs(Fraction(a_re, 2 ** 64) - Fraction("1.8392867552")) < Fraction(1, 10 ** 9)
+    assert a_im == 0
+    assert beta[1] > 0 and gamma == (beta[0], -beta[1])
+    residuals = sequences._vieta_residuals(binet_roots(64), 64)
+    assert max(abs(part) for r in residuals for part in r) < 2 ** 32
 
 
 def test_binet_roots_are_solved_once_per_precision():
     first, second = binet_roots(64), binet_roots(64)
     assert first == second
     assert first is second
+    assert binet_roots() == first
+
+
+def _icbrt(n: int) -> int:
+    """floor(n^(1/3)) for n >= 0, by integer Newton steps from above."""
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
 
 
 def test_binet_roots_match_radical_expressions():
-    found = binet_roots(80)
-    radical = binet_roots_from_radicals(80)
-    for a, b in [(found.alpha, radical.alpha), (found.beta, radical.beta),
-                 (found.gamma, radical.gamma)]:
-        assert abs(a - b) < 1e-18
+    # alpha = (1 + A + B)/3 with A, B the cube roots of 19 ± 3·sqrt(33), and
+    # beta = (1 + wA + w²B)/3 with w = (-1 + i·sqrt(3))/2, so
+    # beta = ((2 - A - B) + i·sqrt(3)(A - B))/6: integer roots, with 8 guard
+    # bits, that share nothing with the Newton steps of binet_roots.
+    bits, wide = 80, 88
+    one, root33 = 1 << wide, math.isqrt(33 << 2 * wide)
+    a = _icbrt(((19 << wide) + 3 * root33) << 2 * wide)
+    b = _icbrt(((19 << wide) - 3 * root33) << 2 * wide)
+    beta = ((2 * one - a - b) // 6, math.isqrt(3 << 2 * wide) * (a - b) // (6 * one))
+    radical = [((one + a + b) // 3, 0), beta, (beta[0], -beta[1])]
+    for found, expected in zip(binet_roots(bits), radical):
+        for part, wide_part in zip(found, expected):
+            assert abs(part - (wide_part >> wide - bits)) <= 4
 
 
 def test_binet_precision_floor():
-    with pytest.raises(DomainError):
-        binet_roots(32)
+    for _ in range(2):    # a raise is never memoised
+        with pytest.raises(DomainError):
+            binet_roots(32)
+        with pytest.raises(DomainError):
+            binet_roots(52)
     with pytest.raises(DomainError):
         binet_estimate(3, SequenceFamily.TRIBONACCI_NUMBER, precision=13)
 
@@ -186,7 +207,7 @@ def test_binet_estimate_rejects_polynomial_families():
 
 
 def test_binet_estimate_flags_large_imaginary_residue(monkeypatch):
-    solve = sequences._fixed_roots
+    solve = sequences.binet_roots
 
     def broken(bits):
         # A conjugate-symmetry-breaking perturbation, beta·(1 + 0.01i),
@@ -195,26 +216,23 @@ def test_binet_estimate_flags_large_imaginary_residue(monkeypatch):
         one = 1 << bits
         return alpha, sequences._fixed_mul(beta, (one, one // 100), bits), gamma
 
-    monkeypatch.setattr(sequences, "_fixed_roots", broken)
+    monkeypatch.setattr(sequences, "binet_roots", broken)
     with pytest.raises(NumericalInstabilityError):
         sequences.binet_estimate(9, SequenceFamily.TRIBONACCI_LUCAS_NUMBER)
 
 
-def _exact(x) -> Fraction:
-    # man_exp holds |x| = man·2^exp; the sign is read separately.
-    man, exp = x.man_exp
-    return (-1 if x < 0 else 1) * Fraction(man) * Fraction(2) ** exp
+def test_binet_roots_raise_on_a_failed_vieta_check(monkeypatch):
+    # Residuals of 2^(-precision/2 + 1) fail the bound on every call.
+    def off(roots, bits):
+        return ((1 << (bits // 2 + 1), 0), (0, 0), (0, 0))
 
-
-@pytest.mark.parametrize("precision", [64, 80, 128])
-def test_fixed_point_roots_match_both_mpmath_paths(precision):
-    fixed = sequences._fixed_roots(precision)
-    bound = Fraction(1, 2 ** (precision // 2))
-    for found in (binet_roots(precision), binet_roots_from_radicals(precision)):
-        for (re, im), root in zip(fixed, (found.alpha, found.beta, found.gamma)):
-            d_re = Fraction(re, 2 ** precision) - _exact(root.real)
-            d_im = Fraction(im, 2 ** precision) - _exact(root.imag)
-            assert d_re ** 2 + d_im ** 2 <= bound ** 2
+    monkeypatch.setattr(sequences, "_vieta_residuals", off)
+    sequences.binet_roots.cache_clear()
+    for _ in range(2):
+        with pytest.raises(NumericalInstabilityError):
+            binet_roots(64)
+    monkeypatch.undo()
+    assert binet_roots(64)[0][1] == 0
 
 
 def test_binet_estimate_keeps_the_requested_bits():
@@ -229,6 +247,17 @@ def test_binet_estimate_keeps_the_requested_bits():
             assert error * 2 ** 64 <= max(1, exact(n)), (family, n)
             if n < 60:
                 assert error < 1e-12, (family, n)
+
+
+def test_binet_estimate_rounds_to_the_exact_value_when_precision_grows_with_n():
+    # With 40 bits beyond the value's own, the estimate's nearest integer is
+    # T_n or K_n itself, for every n <= 400.
+    for family, exact in [(SequenceFamily.TRIBONACCI_NUMBER, tribonacci_number),
+                          (SequenceFamily.TRIBONACCI_LUCAS_NUMBER, tribonacci_lucas_number)]:
+        for n in range(401):
+            value = exact(n)
+            precision = max(53, value.bit_length() + 40)
+            assert round(binet_estimate(n, family, precision)) == value, (family, n)
 
 
 def test_concurrent_cache_growth_matches_serial():
@@ -253,7 +282,7 @@ def test_the_registry_names_every_memo():
             if hasattr(value, "cache_info") or isinstance(value, sequences._GrowingCache):
                 assert id(value) in registered, (module.__name__, name)
     assert {id(genfunc._expansions), id(genfunc._direct)} <= registered
-    assert len(sequences.MEMOS) == 21
+    assert len(sequences.MEMOS) == 20
     for memo in sequences.MEMOS.values():
         memo.clear()
     seeded = {name: len(memo) for name, memo in sequences.MEMOS.items() if len(memo)}

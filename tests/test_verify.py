@@ -16,7 +16,6 @@ from triblucas import verify
 from triblucas.errors import DomainError, ExpansionError, UnknownIdentityError
 from triblucas.sequences import (
     MEMOS,
-    BinetRoots,
     SequenceFamily,
     binet_estimate,
     tribonacci_lucas_number,
@@ -326,10 +325,9 @@ def test_run_all_builds_each_series_entry_once(case, built, monkeypatch):
     assert max(counts.values()) == 1
 
 
-# The 13 record types: each builds one value from fresh, equal fields.
+# The 12 record types: each builds one value from fresh, equal fields.
 RECORD = ErrataRecord("k", "title", "printed", "corrected", "evidence")
 VALUES = {
-    "BinetRoots": lambda: BinetRoots(Fraction(1), 2, 3, 4, 64),
     "TriangleTable": lambda: TriangleTable(TriangleKind.NUMBERS, ((3,), (0, 2))),
     "IncompleteIndex": lambda: inc.IncompleteIndex(6, 3, inc.IncompleteFamily.INC_TRIBONACCI_LUCAS),
     "PowerSeries": lambda: gf.PowerSeries((1, Fraction(1, 2))),
