@@ -221,8 +221,8 @@ def series_expand(gf: RationalGF, order: int) -> PowerSeries:
     starts over on an empty body and raises ``InternalConsistencyError`` on
     a state out of step with its body.  The bodies sit in the dict
     ``genfunc.series_expand`` of the registry ``sequences.MEMOS``, keyed by
-    :func:`series_key`; ``verify.run_all`` drops the bodies it created after
-    the last id that reads them, and a library session keeps them.  Both
+    :func:`series_key`; ``verify.run_all`` drops each body that a catalog id
+    created right after that id, and a library session keeps them.  Both
     kernels accumulate in ``int``:
 
     - a pair with ``IntPoly`` coefficients (``int`` ones are promoted)
@@ -471,26 +471,19 @@ def lemma9_gf(spec: Lemma9Spec) -> RationalGF:
     a, b, c = spec.a, spec.b, spec.c
     zero = a * 0
     one = zero + 1
-    den = (one, zero - a, zero - b, zero - c)
-    if spec.r is None:
-        r0 = r1 = r2 = zero
-    elif isinstance(spec.r, PowerSeries):
-        if spec.r.order < 3:
+    r = spec.r
+    if r is None:
+        r = RationalGF((zero,), (one,))
+    elif isinstance(r, PowerSeries):
+        if r.order < 3:
             raise DomainError("forcing series must carry at least 3 coefficients")
-        r0, r1, r2 = spec.r.coeffs[0], spec.r.coeffs[1], spec.r.coeffs[2]
-    else:
-        head = series_expand(spec.r, 3)
-        r0, r1, r2 = head.coeffs
-    head_poly = (spec.s0 - r0,
-                 spec.s1 - a * spec.s0 - r1,
-                 spec.s2 - a * spec.s1 - b * spec.s0 - r2)
-    if spec.r is None:
-        return RationalGF(head_poly, den, 0)
-    if isinstance(spec.r, PowerSeries):
-        return RationalGF(_zadd(head_poly, tuple(spec.r.coeffs)), den, 0)
-    g_num = (zero,) * spec.r.shift + tuple(spec.r.numerator)
-    numerator = _zadd(_zmul(head_poly, spec.r.denominator, zero), g_num)
-    return RationalGF(numerator, _zmul(den, spec.r.denominator, zero), 0)
+        r = RationalGF(r.coeffs, (one,))
+    r0, r1, r2 = series_expand(r, 3).coeffs
+    head = (spec.s0 - r0,
+            spec.s1 - a * spec.s0 - r1,
+            spec.s2 - a * spec.s1 - b * spec.s0 - r2)
+    numerator = _zadd(_zmul(head, r.denominator, zero), (zero,) * r.shift + r.numerator)
+    return RationalGF(numerator, _zmul((one, zero - a, zero - b, zero - c), r.denominator, zero))
 
 
 # -- the concrete incomplete-family generating functions ----------------------
@@ -592,10 +585,7 @@ def direct_incomplete_coeff(family: IncompleteFamily, n: int, s: int,
     return p.evaluate(x if isinstance(x, Fraction) else Fraction(x))
 
 
-# (family, s, x, order) -> the direct values below the order
-_direct: dict = register_memo("genfunc.direct_series", {})
-
-
+@cached
 def direct_series(family: IncompleteFamily, s: int, x: XMode,
                   order: int) -> Tuple[Coeff, ...]:
     """``direct_incomplete_coeff(family, k, s, x)`` for k < ``order``, memoised.
@@ -604,16 +594,11 @@ def direct_series(family: IncompleteFamily, s: int, x: XMode,
     against the same direct values (Q_s in both variants and at x = 1, W_s
     symbolically and at x = 1) read one tuple.  It is built from the
     double sums and triangles only, never from a pair or its expansion.
-    The memo is the dict ``genfunc.direct_series`` of the registry, keyed by
-    (family, s, x, order), so ``verify.run_all`` can drop one entry after
-    the last id that reads it.
+    The memo is an ``lru_cache`` keyed by (family, s, x, order); nothing
+    drops single entries from it, so a ``verify`` run keeps each tuple to
+    its end.
     """
-    key = (family, s, x, order)
-    values = _direct.get(key)
-    if values is None:
-        values = _direct.setdefault(
-            key, tuple(direct_incomplete_coeff(family, k, s, x) for k in range(order)))
-    return values
+    return tuple(direct_incomplete_coeff(family, k, s, x) for k in range(order))
 
 
 class GFComparison(NamedTuple):

@@ -231,7 +231,7 @@ def tl_relation_rhs(n: int, s: int, kind: TriangleKind = TriangleKind.POLYNOMIAL
         raise DomainError(
             f"level s={s} outside the valid interval 1..{(n - 1) // 2} at n={n}")
     _check_kind(kind)
-    t = _VALUES[IncompleteFamily.INC_TRIBONACCI, kind]
+    t = _values(_TRIB, kind)
     # x^2·0 + x·T_{n-1}^(s-1) + (T_{n+1}^(s) + 2 T_{n-2}^(s-1))
     return kind.step(kind.cell(0, 0), t(n - 1, s - 1), t(n + 1, s) + 2 * t(n - 2, s - 1))
 
@@ -270,9 +270,10 @@ def row_sum_lhs_rhs(n: int, kind: TriangleKind = TriangleKind.NUMBERS):
         raise DomainError(f"row sum requires n >= 1, got {n}")
     _check_kind(kind)
     l = n // 2
-    value = _VALUES[IncompleteFamily.INC_TRIBONACCI_LUCAS, kind]
+    value = _values(_TL, kind)
+    complete = tribonacci_lucas_number if kind is _NUMBERS else tribonacci_lucas_poly
     lhs = sum(value(n, s) for s in range(l + 1))
-    rhs = (l + 1) * _COMPLETE_TL[kind](n) - weighted_binomial_diagonal_sum(kind, n)
+    rhs = (l + 1) * complete(n) - weighted_binomial_diagonal_sum(kind, n)
     return lhs, rhs
 
 
@@ -292,15 +293,18 @@ _RECURRENCES = {
 }
 RECURRENCE_VARIANTS = tuple(_RECURRENCES)
 
-# Public functions by (family, kind) and K_n by kind, read here so a tracer can patch them.
-_VALUES = {
-    (IncompleteFamily.INC_TRIBONACCI, TriangleKind.NUMBERS): incomplete_tribonacci_number,
-    (IncompleteFamily.INC_TRIBONACCI, TriangleKind.POLYNOMIALS): incomplete_tribonacci_poly,
-    (IncompleteFamily.INC_TRIBONACCI_LUCAS, TriangleKind.NUMBERS): incomplete_tl_number,
-    (IncompleteFamily.INC_TRIBONACCI_LUCAS, TriangleKind.POLYNOMIALS): incomplete_tl_poly,
-}
-_COMPLETE_TL = {TriangleKind.NUMBERS: tribonacci_lucas_number,
-                TriangleKind.POLYNOMIALS: tribonacci_lucas_poly}
+# Loading an Enum member from its class costs about 0.1 us on CPython 3.10
+# and 3.11, so the lookups below read module aliases.
+_TRIB, _TL = IncompleteFamily.INC_TRIBONACCI, IncompleteFamily.INC_TRIBONACCI_LUCAS
+_NUMBERS = TriangleKind.NUMBERS
+
+
+def _values(family: IncompleteFamily, kind: TriangleKind):
+    # The public function of (family, kind), looked up when called, so that
+    # a caller gets a patched module name.
+    if family is _TRIB:
+        return incomplete_tribonacci_number if kind is _NUMBERS else incomplete_tribonacci_poly
+    return incomplete_tl_number if kind is _NUMBERS else incomplete_tl_poly
 
 
 def _level(family: IncompleteFamily, kind: TriangleKind, n: int, s: int):
@@ -323,7 +327,7 @@ def recurrence_step(n: int, s: int, variant: str) -> Tuple:
         raise DomainError(f"unknown recurrence variant {variant!r}")
     family, kind, homogeneous = _RECURRENCES[variant]
     check_domain(family, n, s)
-    value, step = _VALUES[family, kind], kind.step
+    value, step = _values(family, kind), kind.step
     if homogeneous:
         return (value(n + 3, s + 1),
                 step(value(n + 2, s + 1), value(n + 1, s), value(n, s)))

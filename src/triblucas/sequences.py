@@ -142,8 +142,8 @@ class _Cached:
 # The memo registry: every memo of the library by name, as something with
 # len() (its entry count) and clear().  A _GrowingCache counts its values (a
 # triangle its columns), a dict its keys and an lru_cache function its
-# entries.  The series bodies and the direct series are dicts, so a single
-# key can also be dropped from them.
+# entries.  The series bodies are a dict, so a single key can also be
+# dropped from them.
 MEMOS: Dict[str, object] = {}
 
 

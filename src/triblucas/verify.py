@@ -10,10 +10,8 @@ the part of the domain that is not a bound.  To add an identity, append
 an entry whose sides call the library through this module's globals,
 which is what a tracer patches.  One walker enumerates every lattice,
 capped by a SweepRange, comparing the sides with exact arithmetic, and
-each report's ``domain:`` note is rendered from the same axes.  The sides
-of the generating-function ids also name the series body and direct-series
-entry they read at each point, so ``run_all`` can release each of them
-after its last reader.
+each report's ``domain:`` note is rendered from the same axes.
+``run_all`` drops the series bodies that each id built once the id is done.
 
 Two ids are *expected* to fail: they faithfully reproduce closed forms
 whose printed statements disagree with direct enumeration (the z^2
@@ -295,15 +293,6 @@ class CatalogEntry(NamedTuple):
             where = ", ".join(f"{k}={v}" for k, v in _params(point))
             raise InternalConsistencyError(f"{self.id} at {where}: {exc}") from exc
 
-    def reads(self, rng: SweepRange) -> Iterator[Tuple[str, object]]:
-        """(registry name, key) of each memo entry that the sides read, over
-        the outer lattice; only series sides declare their reads."""
-        if not isinstance(self.sides, _Series):
-            return
-        outer = self.axes[:-1]
-        for point in _walk(outer, rng, {}):
-            yield from self.sides.reads(*(point[axis.name] for axis in outer), rng.order)
-
     def domain(self, rng: SweepRange) -> str:
         clauses = []
         for outer, axis in zip((None,) + self.axes, self.axes):
@@ -347,7 +336,8 @@ class _Series(NamedTuple):
     """The sides of a series id: the expansion of ``pair(s, x)`` against the
     direct values of ``family`` at level s and x.  They take s, then x, then
     the order; ``fixed_x`` is (x,) for a lattice without an x axis.  The
-    direct values are memoised per (family, s, x, order), shared by the
+    expansion's body lives until its id ends under ``run_all``; the direct
+    values are memoised per (family, s, x, order) and shared by the
     family's ids."""
 
     family: inc.IncompleteFamily
@@ -358,13 +348,6 @@ class _Series(NamedTuple):
         x, order = self.fixed_x + x_order
         return (gf.series_expand(self.pair(s, x), order).coeffs,
                 gf.direct_series(self.family, s, x, order))
-
-    def reads(self, s: int, *x_order) -> Tuple[Tuple[str, object], ...]:
-        """(registry name, key) of the series body and of the direct-series
-        entry that the sides read at this point."""
-        x, order = self.fixed_x + x_order
-        return (("genfunc.series_expand", gf.series_key(self.pair(s, x))),
-                ("genfunc.direct_series", (self.family, s, x, order)))
 
 
 def _q_series(variant: gf.GFVariant) -> _Series:
@@ -516,30 +499,23 @@ def run_identity(identity_id: str, rng: Optional[SweepRange] = None) -> Identity
 def run_all(rng: Optional[SweepRange] = None) -> List[IdentityReport]:
     """Run every catalog entry in catalog order.
 
-    The run releases what it builds once no later entry reads it.  Each
-    series body and direct-series entry that the run creates is dropped
-    from its registry memo (``sequences.MEMOS``) right after the last entry
-    of the run whose sides read it, as ``CatalogEntry.reads`` derives from
-    the entries' outer lattices.  So nothing is built twice, and the sweep
-    holds the bodies of one id and of the ids still to read them, not of
-    every id.  Entries that existed before the run stay, and so does every
-    other memo: a library session keeps what it built.
+    Right after each entry, the run drops from the series-body memo
+    (``genfunc.series_expand`` in ``sequences.MEMOS``) every body that the
+    entry created, so the sweep holds the bodies of one id at a time.
+    ``cor11`` and ``cor13`` therefore expand again the x = 1 bodies that
+    ``thm10-corrected`` and ``thm12`` built.  Bodies that existed before
+    the entry stay, extended if it read them, and so does every other memo,
+    the direct series included: a library session keeps what it built.
     """
     if rng is None:
         rng = SweepRange()
-    last_reader = {}
-    for index, entry in enumerate(_CATALOG.values()):
-        for read in entry.reads(rng):
-            last_reader[read] = index
-    release: List[list] = [[] for _ in _CATALOG]
-    for (name, key), index in last_reader.items():
-        if key not in MEMOS[name]:
-            release[index].append((name, key))
+    bodies = MEMOS["genfunc.series_expand"]
     reports = []
-    for identity_id, drop in zip(_CATALOG, release):
+    for identity_id in _CATALOG:
+        before = set(bodies)
         reports.append(run_identity(identity_id, rng))
-        for name, key in drop:
-            MEMOS[name].pop(key, None)
+        for key in bodies.keys() - before:
+            bodies.pop(key, None)
     return reports
 
 

@@ -39,7 +39,6 @@ from triblucas.verify import SweepRange, run_identity
 TRIB = IncompleteFamily.INC_TRIBONACCI
 TL = IncompleteFamily.INC_TRIBONACCI_LUCAS
 BODIES = MEMOS["genfunc.series_expand"]
-DIRECT = MEMOS["genfunc.direct_series"]
 
 
 def ints(series):
@@ -445,30 +444,32 @@ def test_factor_check_still_rejects_once_the_product_memo_is_warm():
 
 @pytest.mark.parametrize("symbolic_first", [True, False])
 def test_direct_series_is_shared_by_the_sweeps_of_one_family(symbolic_first):
-    DIRECT.clear()
-    rng = SweepRange(s_max=3, order=24, x_points=(Fraction(1),), include_symbolic=False)
+    direct = genfunc.direct_series
+    direct.cache_clear()
+    one = Fraction(1)
+    rng = SweepRange(s_max=3, order=24, x_points=(one,), include_symbolic=False)
     run_identity("cor11", rng)
-    built = dict(DIRECT)
-    assert len(built) == 4
+    assert direct.cache_info().currsize == 4
+    built = {s: direct(TRIB, s, one, 24) for s in range(4)}
+    assert direct.cache_info().misses == 4
     for identity_id in ("thm10-printed", "thm10-corrected", "eq1.6-shift"):
         run_identity(identity_id, rng)
     # each level's tuple is read again, never built again
-    assert DIRECT.keys() == built.keys()
-    assert all(DIRECT[key] is values for key, values in built.items())
+    assert direct.cache_info().misses == direct.cache_info().currsize == 4
+    assert all(direct(TRIB, s, one, 24) is values for s, values in built.items())
     MEMOS["incomplete.incomplete_tribonacci_poly"].clear()
-    one = Fraction(1)
     for s in range(4):
         fresh = tuple(direct_incomplete_coeff(TRIB, k, s, one) for k in range(24))
-        shared = genfunc.direct_series(TRIB, s, one, 24)
+        shared = direct(TRIB, s, one, 24)
         assert shared == fresh
         assert all(type(c) is Fraction for c in shared)
     # the symbolic and the x = 1 values never share an entry, in either order
-    DIRECT.clear()
+    direct.cache_clear()
     modes = [None, one] if symbolic_first else [one, None]
     kinds = {None: IntPoly, one: Fraction}
     for x in modes:
-        assert {type(c) for c in genfunc.direct_series(TRIB, 2, x, 24)} == {kinds[x]}
-    assert len(DIRECT) == 2
+        assert {type(c) for c in direct(TRIB, 2, x, 24)} == {kinds[x]}
+    assert direct.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize("order, s_max, expected", [

@@ -275,13 +275,13 @@ def test_concurrent_cache_growth_matches_serial():
 def test_the_registry_names_every_memo():
     from triblucas import genfunc, incomplete, poly, triangles
     # every lru_cache function and _GrowingCache of the library, and the
-    # series bodies and direct series, which are dicts
+    # series bodies, which are a dict
     registered = {id(getattr(memo, "_fn", memo)) for memo in sequences.MEMOS.values()}
     for module in (poly, sequences, triangles, incomplete, genfunc):
         for name, value in vars(module).items():
             if hasattr(value, "cache_info") or isinstance(value, sequences._GrowingCache):
                 assert id(value) in registered, (module.__name__, name)
-    assert {id(genfunc._expansions), id(genfunc._direct)} <= registered
+    assert id(genfunc._expansions) in registered
     assert len(sequences.MEMOS) == 20
     for memo in sequences.MEMOS.values():
         memo.clear()

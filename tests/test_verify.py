@@ -55,11 +55,10 @@ EXPECTED_IDS = [
 
 SMALL = SweepRange(n_max=10, s_max=2, h_max=4, order=12)
 BODIES = MEMOS["genfunc.series_expand"]
-DIRECT = MEMOS["genfunc.direct_series"]
 HALF, TWO = Fraction(1, 2), Fraction(2)
 # The series ids at s <= 3 and order 24, with x = 1 among the x points (the
-# corrected Q_s and W_s bodies and the direct series at x = 1 are then
-# built before cor11, cor13 and eq1.6-shift read them) and without it.
+# direct series at x = 1 are then built before cor11, cor13 and eq1.6-shift
+# read them) and without it.
 SCOPED = {
     "with-one": SweepRange(n_max=8, s_max=3, h_max=2, order=24,
                            x_points=(Fraction(1), TWO, HALF)),
@@ -279,17 +278,26 @@ def test_errata_records():
 
 
 @pytest.mark.parametrize("case", SCOPED)
-def test_run_all_releases_the_entries_it_created(case):
+def test_run_all_releases_the_entries_it_created(case, monkeypatch):
     rng = SCOPED[case]
     BODIES.clear()
-    DIRECT.clear()
-    # built before the run, at keys the run reads too
+    # built before the run, at a key the run reads too
     pair = gf.q_gf(1, gf.GFVariant.CORRECTED, TWO)
     gf.series_expand(pair, 8)
-    gf.direct_series(inc.IncompleteFamily.INC_TRIBONACCI, 1, TWO, 24)
-    before = (set(BODIES), set(DIRECT))
+    before = set(BODIES)
+    started = Counter()
+    run = verify.run_identity
+
+    def checking(identity_id, rng):
+        # every id starts from the bodies that were there before the run
+        assert set(BODIES) == before, identity_id
+        started[identity_id] += 1
+        return run(identity_id, rng)
+
+    monkeypatch.setattr(verify, "run_identity", checking)
     run_all(rng)                      # fills every other memo of the run
-    assert (set(BODIES), set(DIRECT)) == before
+    assert started == Counter(EXPECTED_IDS)
+    assert set(BODIES) == before
     assert len(BODIES[gf.series_key(pair)]) == 24 - pair.shift
     gc.collect()
     tracemalloc.start()
@@ -300,29 +308,38 @@ def test_run_all_releases_the_entries_it_created(case):
         left = tracemalloc.get_traced_memory()[0] - start
     finally:
         tracemalloc.stop()
-    assert (set(BODIES), set(DIRECT)) == before
-    # about 1 kB; the bodies and direct values of one run hold about 215 kB
+    assert set(BODIES) == before
+    assert started == Counter(EXPECTED_IDS * 2)
+    # about 0.6 kB; kept to the end of the run, the bodies would hold about 200 kB
     assert left < 20_000
 
 
-@pytest.mark.parametrize("case, built", [("with-one", 48 + 28), ("without-one", 44 + 28)])
+# Bodies built by the ids of one run, plus direct series: with x = 1 swept,
+# cor11 and cor13 expand again the 4 + 3 corrected x = 1 bodies that
+# thm10-corrected and thm12 built, while every direct series is built once.
+@pytest.mark.parametrize("case, built", [("with-one", 55 + 28), ("without-one", 44 + 28)])
 def test_run_all_builds_each_series_entry_once(case, built, monkeypatch):
     BODIES.clear()
-    DIRECT.clear()
+    gf.direct_series.cache_clear()
     created = []
     run = verify.run_identity
 
     def counting(identity_id, rng):
-        before = set(BODIES) | set(DIRECT)
+        before = set(BODIES)
         report = run(identity_id, rng)
-        created.extend(key for key in (*BODIES, *DIRECT) if key not in before)
+        created.extend((identity_id, key) for key in BODIES if key not in before)
         return report
 
     monkeypatch.setattr(verify, "run_identity", counting)
     run_all(SCOPED[case])
-    counts = Counter(created)
-    assert len(counts) == built
-    assert max(counts.values()) == 1
+    direct = gf.direct_series.cache_info()
+    assert direct.misses == direct.currsize == 28
+    assert len(created) + direct.misses == built
+    counts = Counter(key for _, key in created)
+    rebuilt = {identity_id for identity_id, key in created if counts[key] > 1}
+    assert max(counts.values()) <= 2
+    assert rebuilt == ({"thm10-corrected", "cor11", "thm12", "cor13"}
+                       if case == "with-one" else set())
 
 
 # The 12 record types: each builds one value from fresh, equal fields.
