@@ -277,10 +277,7 @@ def _cmd_verify(args) -> int:
     if "x_points" in given:
         given["x_points"] = tuple(_parse_fraction(tok) for tok in given["x_points"].split(","))
     rng = verify.SweepRange(**given)
-    if args.id:
-        reports = [verify.run_identity(identity_id, rng) for identity_id in args.id]
-    else:
-        reports = verify.run_all(rng)
+    reports = verify.run_all(rng, args.id)
     if args.format == JSON:
         sys.stdout.write(verify.reports_to_json(reports) + "\n")
     elif args.format == CSV:

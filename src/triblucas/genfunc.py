@@ -466,7 +466,9 @@ def lemma9_gf(spec: Lemma9Spec) -> RationalGF:
     S0 - r0 + z (S1 - a S0 - r1) + z^2 (S2 - a S1 - b S0 - r2) + G(z)
 
     over 1 - a z - b z^2 - c z^3, where G is the generating function of r
-    and r0, r1, r2 are its leading coefficients.
+    and r0, r1, r2 are its leading coefficients.  They come from three
+    steps of the division in r's coefficient ring, not from
+    :func:`series_expand`, so the call keeps no series body.
     """
     a, b, c = spec.a, spec.b, spec.c
     zero = a * 0
@@ -478,7 +480,14 @@ def lemma9_gf(spec: Lemma9Spec) -> RationalGF:
         if r.order < 3:
             raise DomainError("forcing series must carry at least 3 coefficients")
         r = RationalGF(r.coeffs, (one,))
-    r0, r1, r2 = series_expand(r, 3).coeffs
+    # p_m = num_m - sum_j den_j p_(m-j) on the numerator shifted by z^shift
+    ring_zero = _ZERO_OF[_coeff_kind(r)]
+    num = (ring_zero,) * min(r.shift, 3) + r.numerator + (ring_zero,) * 3
+    rs = []
+    for m in range(3):
+        known = zip(r.denominator[1:m + 1], reversed(rs))
+        rs.append(ring_zero + num[m] - sum(d * p for d, p in known))
+    r0, r1, r2 = rs
     head = (spec.s0 - r0,
             spec.s1 - a * spec.s0 - r1,
             spec.s2 - a * spec.s1 - b * spec.s0 - r2)

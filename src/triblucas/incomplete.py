@@ -49,8 +49,14 @@ class IncompleteFamily(enum.Enum):
     INC_TRIBONACCI_LUCAS = "inc-tl"
 
 
+# Loading an Enum member from its class costs about 0.1 us on CPython 3.10
+# and 3.11, so the lookups below read module aliases.
+_TRIB, _TL = IncompleteFamily.INC_TRIBONACCI, IncompleteFamily.INC_TRIBONACCI_LUCAS
+_NUMBERS = TriangleKind.NUMBERS
+
+
 def min_index(family: IncompleteFamily) -> int:
-    return 1 if family is IncompleteFamily.INC_TRIBONACCI else 0
+    return 1 if family is _TRIB else 0
 
 
 def max_level(family: IncompleteFamily, n: int) -> int:
@@ -292,12 +298,6 @@ _RECURRENCES = {
     TRI_NONHOM_15: (IncompleteFamily.INC_TRIBONACCI, TriangleKind.POLYNOMIALS, False),
 }
 RECURRENCE_VARIANTS = tuple(_RECURRENCES)
-
-# Loading an Enum member from its class costs about 0.1 us on CPython 3.10
-# and 3.11, so the lookups below read module aliases.
-_TRIB, _TL = IncompleteFamily.INC_TRIBONACCI, IncompleteFamily.INC_TRIBONACCI_LUCAS
-_NUMBERS = TriangleKind.NUMBERS
-
 
 def _values(family: IncompleteFamily, kind: TriangleKind):
     # The public function of (family, kind), looked up when called, so that

@@ -294,14 +294,15 @@ def _vieta_residuals(roots: Tuple[Fixed, Fixed, Fixed], bits: int) -> Tuple[Fixe
             (abg[0] - one, abg[1]))
 
 
-@cached
 def binet_roots(precision: int = 64) -> Tuple[Fixed, Fixed, Fixed]:
     """alpha, beta, gamma of t^3 - t^2 - t - 1, scaled by 2^precision.
 
     Each root is a fixed-point ``(re, im)`` pair of ints with ``precision``
-    fractional bits, solved once per precision.  alpha comes from integer
-    Newton steps started at t = 2, where f(2) = 1 and f is convex, so the
-    iterates fall monotonically onto the root; the conjugate pair
+    fractional bits, solved once per precision by the memoised solver
+    ``_binet_roots``, so ``binet_roots()``, ``binet_roots(64)`` and
+    ``binet_roots(precision=64)`` return the same tuple.  alpha comes from
+    integer Newton steps started at t = 2, where f(2) = 1 and f is convex, so
+    the iterates fall monotonically onto the root; the conjugate pair
     ((1 - alpha) ± i·sqrt(4/alpha - (1 - alpha)^2))/2 follows from
     beta + gamma = 1 - alpha and beta·gamma = 1/alpha, and beta has the
     positive imaginary part.  A precision below 53 bits raises
@@ -309,6 +310,11 @@ def binet_roots(precision: int = 64) -> Tuple[Fixed, Fixed, Fixed]:
     Vieta residuals above 2^(-precision/2) raise
     :class:`NumericalInstabilityError`.
     """
+    return _binet_roots(precision)
+
+
+@cached
+def _binet_roots(precision: int) -> Tuple[Fixed, Fixed, Fixed]:
     if precision < 53:
         raise DomainError(f"precision must be at least 53 bits, got {precision}")
     one = 1 << precision

@@ -469,7 +469,11 @@ def list_identities() -> List[Tuple[str, str, str]]:
 
 
 def run_identity(identity_id: str, rng: Optional[SweepRange] = None) -> IdentityReport:
-    """Exhaustively sweep one identity over its parameter lattice."""
+    """Exhaustively sweep one identity over its parameter lattice.
+
+    Releases nothing: the series bodies the sweep builds stay in their memo.
+    ``run_all`` is the run path that drops them.
+    """
     if identity_id not in _CATALOG:
         raise UnknownIdentityError(identity_id)
     rng = rng or SweepRange()
@@ -496,22 +500,24 @@ def run_identity(identity_id: str, rng: Optional[SweepRange] = None) -> Identity
     return IdentityReport(identity_id, points, tuple(examples), total_failures, status, notes)
 
 
-def run_all(rng: Optional[SweepRange] = None) -> List[IdentityReport]:
-    """Run every catalog entry in catalog order.
+def run_all(rng: Optional[SweepRange] = None,
+            ids: Optional[Sequence[str]] = None) -> List[IdentityReport]:
+    """Run the catalog ids ``ids`` in the given order, repeats included, or
+    every catalog entry in catalog order when ``ids`` is None.
 
-    Right after each entry, the run drops from the series-body memo
+    Right after each id, the run drops from the series-body memo
     (``genfunc.series_expand`` in ``sequences.MEMOS``) every body that the
-    entry created, so the sweep holds the bodies of one id at a time.
+    id created, so the sweep holds the bodies of one id at a time.
     ``cor11`` and ``cor13`` therefore expand again the x = 1 bodies that
     ``thm10-corrected`` and ``thm12`` built.  Bodies that existed before
-    the entry stay, extended if it read them, and so does every other memo,
+    the id stay, extended if it read them, and so does every other memo,
     the direct series included: a library session keeps what it built.
     """
     if rng is None:
         rng = SweepRange()
     bodies = MEMOS["genfunc.series_expand"]
     reports = []
-    for identity_id in _CATALOG:
+    for identity_id in _CATALOG if ids is None else ids:
         before = set(bodies)
         reports.append(run_identity(identity_id, rng))
         for key in bodies.keys() - before:

@@ -397,6 +397,34 @@ def test_verify_single_id(capsys):
     assert "eq3.3" in out and "pass" in out
 
 
+def test_verify_ids_release_each_ids_series_bodies(capsys, monkeypatch):
+    # --id runs through run_all too: every id starts from the bodies that
+    # were there before the run, a repeated id included.
+    from triblucas import verify
+    from triblucas.sequences import MEMOS
+
+    bodies = MEMOS["genfunc.series_expand"]
+    before = set(bodies)
+    started = []
+    run_identity = verify.run_identity
+
+    def checking(identity_id, rng):
+        started.append((identity_id, set(bodies) == before))
+        return run_identity(identity_id, rng)
+
+    monkeypatch.setattr(verify, "run_identity", checking)
+    scope = ("--n-max", "4", "--s-max", "2", "--order", "8", "--format", "json")
+    ids = ["thm10-corrected", "cor11", "thm12", "thm10-corrected"]
+    code, out, _ = run(capsys, "verify", *(arg for i in ids for arg in ("--id", i)), *scope)
+    assert code == 0
+    assert started == [(identity_id, True) for identity_id in ids]
+    assert set(bodies) == before
+    monkeypatch.undo()
+    code, full, _ = run(capsys, "verify", *scope)
+    by_id = {report["id"]: report for report in json.loads(full)}
+    assert json.loads(out) == [by_id[identity_id] for identity_id in ids]
+
+
 def test_verify_expected_fail_exits_zero(capsys):
     code, out, _ = run(capsys, "verify", "--id", "thm10-printed",
                        "--s-max", "1", "--order", "10")
@@ -464,7 +492,7 @@ def test_bad_rational_flag(capsys):
 def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
     from triblucas import verify
 
-    def boom(rng=None):
+    def boom(*args):
         raise OverflowError("int too large\nto convert to float")
 
     monkeypatch.setattr(verify, "run_all", boom)

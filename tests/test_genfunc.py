@@ -97,6 +97,14 @@ def test_lemma9_homogeneous_examples():
     assert ints(series_expand(lemma9_gf(spec), 5)) == [5, 0, 0, 0, 0]
 
 
+def test_lemma9_keeps_no_series_body():
+    BODIES.clear()
+    forcings = [None, PowerSeries((1, 2, 3, 4)), RationalGF((1, -1), (1, -1, -1), 2)]
+    for forcing in forcings:
+        lemma9_gf(Lemma9Spec(1, 1, 1, 3, 1, 3, forcing))
+        assert not BODIES, forcing
+
+
 def _unrolled(a, b, c, s0, s1, s2, forcing, order):
     values = [s0, s1, s2]
     for n in range(3, order):

@@ -138,6 +138,12 @@ def test_binet_roots_are_solved_once_per_precision():
     assert first == second
     assert first is second
     assert binet_roots() == first
+    assert binet_roots() is first
+    assert binet_roots(precision=64) is first
+    memo = sequences.MEMOS["sequences._binet_roots"]
+    memo.clear()
+    assert binet_roots() == binet_roots(64) == binet_roots(precision=64) == first
+    assert len(memo) == 1
 
 
 def _icbrt(n: int) -> int:
@@ -227,7 +233,7 @@ def test_binet_roots_raise_on_a_failed_vieta_check(monkeypatch):
         return ((1 << (bits // 2 + 1), 0), (0, 0), (0, 0))
 
     monkeypatch.setattr(sequences, "_vieta_residuals", off)
-    sequences.binet_roots.cache_clear()
+    sequences._binet_roots.cache_clear()
     for _ in range(2):
         with pytest.raises(NumericalInstabilityError):
             binet_roots(64)

@@ -81,6 +81,13 @@ def test_every_catalog_entry_runs():
         assert report.points_checked > 0, report.id
 
 
+def test_run_all_runs_the_given_ids_in_order_with_repeats():
+    ids = ["cor11", "eq3.3", "thm10-corrected", "cor11", "eq2.2"]
+    reports = run_all(SMALL, ids)
+    assert [r.id for r in reports] == ids
+    assert reports == [run_identity(identity_id, SMALL) for identity_id in ids]
+
+
 def test_statuses_partition_as_documented():
     reports = run_all(SMALL)
     by_id = {r.id: r for r in reports}
