@@ -18,8 +18,9 @@ kept with it.  Every term of the Q_s and W_s factors has coefficient -1, so
 the symbolic division adds shifted coefficient lists without multiplying.
 Those lists are graded: every term x^a z^k of a Q_s or W_s pair has
 a + k in one class mod 3 (the factors' terms have weight 0 mod 3), so the
-list for z^k holds only the x-powers a = r + 2k (mod 3), a third of them.
-A pair whose terms do not fit runs the same loop on full lists.
+list for z^k holds only the x-powers a = r + 2k (mod 3), a third of them:
+the packed coefficients of a step-3 ``IntPoly``, read and emitted as they
+stand.  A pair whose terms do not fit runs the same loop on step-1 lists.
 
 The incomplete-Tribonacci generating function is
 
@@ -67,7 +68,7 @@ from .incomplete import (
     incomplete_tribonacci_poly,
     is_valid,
 )
-from .poly import IntPoly, _canonical, poly_format
+from .poly import IntPoly, _coerce, _pack, poly_format
 from .sequences import _Frozen, _GrowingCache, cached, register_memo, tribonacci_poly
 
 Coeff = Union[int, Fraction, IntPoly]
@@ -238,7 +239,10 @@ def series_expand(gf: RationalGF, order: int) -> PowerSeries:
       in every Q_s and W_s pair (t = 2): the list for z^k then holds only
       the coefficients of x^(rho_k + 3b), rho_k = (r + t k) mod 3, and a
       factor term x^e z^j adds list k - j at offset
-      (rho_(k-j) + e - rho_k) / 3.  Any other pair runs with g = 1.
+      (rho_(k-j) + e - rho_k) / 3.  Those are the packed coefficients of
+      the step-3 ``IntPoly`` at z^k, up to leading zeros, so the kernel reads
+      its inputs and builds its outputs on them.  Any other pair runs with
+      g = 1 on step-1 lists.
       The state keeps each pass's last len(f) - 1 outputs;
     - an ``int``/``Fraction`` pair runs
       P_k = c m^k num_k - sum_j (m^j den_j) P_(k-j) on integers, with m and
@@ -291,10 +295,6 @@ _ZERO_OF = {IntPoly: IntPoly.zero(), Fraction: Fraction(0), int: 0}
 _expansions: dict = register_memo("genfunc.series_expand", {})
 
 
-def _ints(c) -> Tuple[int, ...]:
-    return c.coeffs if isinstance(c, IntPoly) else IntPoly.constant(c).coeffs
-
-
 # The weight deg x + deg z of every term of 1 - x^2 z - x z^2 - z^3 and of
 # 1 - x^2 z is 0 mod 3, and every term of a Q_s or W_s numerator has one
 # weight mod 3, so two x-powers in three of each coefficient are zero.
@@ -305,11 +305,11 @@ def _grading(num, factors) -> Tuple[int, int, int]:
     # (g, t, r) such that every term x^e z^j of every factor has e = t j and
     # every term x^a z^k of num has a = r + t k (mod g): g = _GRADE when some
     # t and r fit (t = 2 for every Q_s and W_s pair), else (1, 0, 0).
-    # Only (k, a mod g) matters, so each coefficient is tested one residue
-    # class of x-powers at a time; a factor's unit term fits every t.
+    # Only (k, a mod g) matters, and a step-3 IntPoly has one class; a
+    # factor's unit term fits every t.
     g = _GRADE
-    den_terms = set().union(*(_classes(den, g) for den in factors))
-    num_terms = _classes(num, g)
+    den_terms = set().union(*map(_classes, factors))
+    num_terms = _classes(num)
     for t in range(g):
         if all((e - t * j) % g == 0 for j, e in den_terms):
             residues = {(a - t * k) % g for k, a in num_terms}
@@ -318,9 +318,11 @@ def _grading(num, factors) -> Tuple[int, int, int]:
     return 1, 0, 0
 
 
-def _classes(zpoly, g: int) -> set:
-    # (k, a mod g) for every term x^a z^k of a z-polynomial
-    return {(k, a) for k, c in enumerate(zpoly) for a in range(g) if any(_ints(c)[a::g])}
+def _classes(zpoly) -> set:
+    # (k, a mod 3) for every term x^a z^k of a z-polynomial; the powers of a
+    # step-3 IntPoly share the class of its lowest one
+    return {(k, (p._low + b) % _GRADE) for k, p in enumerate(map(_coerce, zpoly))
+            for b, c in enumerate(p._packed[:1] if p._step == 3 else p._packed) if c}
 
 
 def _terms(den, rho: list) -> list:
@@ -334,7 +336,9 @@ def _terms(den, rho: list) -> list:
         terms = []
         for j in range(1, len(den)):
             back = rho[(phase - j) % g] - rho[phase]
-            nonzero = [((e + back) // g, c) for e, c in enumerate(_ints(den[j])) if c]
+            p = _coerce(den[j])
+            nonzero = [((p._low + p._step * b + back) // g, c)
+                       for b, c in enumerate(p._packed) if c]
             if nonzero:
                 terms.append((j, nonzero))
         tables.append(terms)
@@ -374,17 +378,25 @@ def _resume(state: list, start: int, empty):
     return state[1] if start else empty
 
 
+def _row(c, g: int, rho: int) -> list:
+    # The coefficients of x^(rho + g b), b >= 0, of c, whose powers are rho
+    # mod g: its packed ones, or for g = 1 a step-3 IntPoly spread out.
+    p = _coerce(c)
+    return [0] * ((p._low - rho) // g) + (list(p._packed) if p._step == g else p._spread())
+
+
 def _grow_polys(num, factors, state: list, body: list, length: int) -> None:
     # Appends positions len(body)..length-1 to body.  The list at position k
     # holds only the coefficients of x^(rho_k + g b), rho_k = (r + t k) mod g
     # (see _grading); every pass keeps that grading and reads of its past only
-    # its last len(f) - 1 outputs, kept in state.  IntPolys are spread out once.
+    # its last len(f) - 1 outputs, kept in state.  Each output list is packed
+    # into an IntPoly on step g as it stands.
     start = len(body)
     tails = _resume(state, start, [[] for _ in factors])
     distinct = list(dict.fromkeys(factors))
     g, t, r = _grading(num, distinct)
     rho = [(r + t * k) % g for k in range(g)]
-    heads = [list(_ints(c)[rho[k % g]::g]) for k, c in enumerate(num[start:length], start)]
+    heads = [_row(c, g, rho[k % g]) for k, c in enumerate(num[start:length], start)]
     tables = {den: _terms(den, rho) for den in distinct}
     kept = []
     for den, tail in zip(factors, tails):
@@ -396,13 +408,7 @@ def _grow_polys(num, factors, state: list, body: list, length: int) -> None:
         heads = out[len(tail):]
         # copied, as the next pass adds into its inputs in place
         kept.append([list(p) for p in out[max(0, len(out) - (len(den) - 1)):]])
-    new = []
-    for k, packed in enumerate(heads, start):
-        # _fold popped the trailing zeros, so the last x-power set is nonzero
-        full = [0] * (rho[k % g] + g * (len(packed) - 1) + 1)
-        full[rho[k % g]::g] = packed
-        new.append(_canonical(tuple(full)))
-    body.extend(new)
+    body.extend(_pack(rho[k % g], g, packed) for k, packed in enumerate(heads, start))
     state[:] = length, kept
 
 

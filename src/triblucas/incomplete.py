@@ -28,7 +28,7 @@ from math import comb
 from typing import Iterator, Tuple
 
 from .errors import DomainError, InternalConsistencyError
-from .poly import IntPoly
+from .poly import IntPoly, _pack
 from .sequences import _Frozen, cached, tribonacci_lucas_number, tribonacci_lucas_poly
 from .triangles import (
     TriangleKind,
@@ -105,15 +105,16 @@ def _tribonacci_level(n: int, i: int):
 def incomplete_tribonacci_poly(n: int, s: int) -> IntPoly:
     """T_n^(s)(x) by direct evaluation of the truncated double sum.
 
-    The terms of levels 0..s are added straight into one coefficient list
-    of length 2n-1 (T_n has degree 2n-2).
+    The terms of levels 0..s have the 2s+1 powers 2n-2-3m, m = i+j <= 2s,
+    and are added straight into one packed list of that length.
     """
     check_domain(IncompleteFamily.INC_TRIBONACCI, n, s)
-    coeffs = [0] * (2 * n - 1)
+    low = 2 * n - 2 - 6 * s
+    coeffs = [0] * (2 * s + 1)
     for i in range(s + 1):
         for power, coeff in _tribonacci_level(n, i):
-            coeffs[power] += coeff
-    return IntPoly(coeffs)
+            coeffs[(power - low) // 3] += coeff
+    return _pack(low, 3, coeffs)
 
 
 @cached
@@ -163,7 +164,7 @@ def incomplete_tl_poly_row(n: int) -> Iterator[IntPoly]:
     its caller holds it.
     """
     check_domain(IncompleteFamily.INC_TRIBONACCI_LUCAS, n, 0)
-    return (IntPoly(total) for total in _poly_diagonal_sums(n, n // 2))
+    return (_pack(2 * n % 3, 3, total) for total in _poly_diagonal_sums(n, n // 2))
 
 
 @cached

@@ -1,11 +1,13 @@
-"""Exact dense univariate polynomial arithmetic over arbitrary-precision integers.
+"""Exact univariate polynomial arithmetic over arbitrary-precision integers.
 
 ``IntPoly`` is the coefficient substrate for every family in this library:
 the Tribonacci / Tribonacci-Lucas polynomials, the polynomial triangle, the
 incomplete families, and the x-polynomial coefficients of the power series
-in z.  Values are immutable and kept in canonical form (no trailing zero
-coefficients; the zero polynomial stores nothing), so equality is plain
-coefficient-sequence equality.
+in z.  The paper writes each family as a binomial sum whose powers step by
+3, e.g. T_n(x) = sum C(i,j) C(n-i-j-1,i) x^(2n-3(i+j)-2), so an ``IntPoly``
+stores only the arithmetic progression of powers that holds its nonzero
+coefficients.  Values are immutable and kept in canonical form, so
+equality is equality of that progression and its coefficients.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from operator import add
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from .errors import PolyParseError
 
@@ -38,7 +41,14 @@ def _check_degree(what: str, degree: int) -> int:
 
 
 class IntPoly:
-    """Immutable dense integer polynomial in x; ``coeffs[k]`` multiplies x^k.
+    """Immutable integer polynomial in x, stored on the progression of its support.
+
+    The coefficient of x^(low + step*b) is ``_packed[b]``.  ``_step`` is 3
+    when every nonzero power lies in one class mod 3, as in every family
+    polynomial here, else 1; ``_packed`` starts and ends at a nonzero
+    coefficient, and the zero polynomial is (0, 3, ()).  The form is
+    canonical, so equality and hashing read the triple.  ``coeffs`` builds
+    the dense tuple, ``coeffs[k]`` multiplying x^k, on each call.
 
     The degree of the zero polynomial is ``None`` (a distinguished
     minus-infinity marker, never a number).  ``int`` operands coerce to
@@ -49,13 +59,25 @@ class IntPoly:
     part of equality or hashing.
     """
 
-    __slots__ = ("_coeffs", "_text")
+    __slots__ = ("_low", "_step", "_packed", "_text")
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        self._coeffs = tuple(c)
+        self._set(0, 1, tuple(coeffs))
+
+    def _set(self, low: int, step: int, values) -> None:
+        # values[b] at x^(low + step b), trimmed to its nonzero ends; a step-1
+        # run on one class mod 3 is repacked with step 3.  An untrimmed tuple
+        # is shared, not copied.
+        end = len(values)
+        while end and not values[end - 1]:
+            end -= 1
+        start = 0
+        while start < end and not values[start]:
+            start += 1
+        packed, low = tuple(values)[start:end], low + step * start
+        if step == 1 and not (any(packed[1::3]) or any(packed[2::3])):
+            packed, step = packed[::3], 3
+        self._low, self._step, self._packed = (low, step, packed) if packed else (0, 3, ())
 
     # -- constructors ------------------------------------------------------
 
@@ -73,16 +95,14 @@ class IntPoly:
 
     @classmethod
     def constant(cls, c: int) -> "IntPoly":
-        return cls((c,))
+        return _pack(0, 3, (c,))
 
     @classmethod
     def monomial(cls, coeff: int, power: int) -> "IntPoly":
         if power < 0:
             raise ValueError("monomial power must be nonnegative")
         _check_degree("monomial power", power)
-        if coeff == 0:
-            return _ZERO
-        return cls((0,) * power + (coeff,))
+        return _pack(power, 3, (coeff,))
 
     @classmethod
     def from_terms(cls, terms: Iterable[Tuple[int, int]]) -> "IntPoly":
@@ -95,39 +115,46 @@ class IntPoly:
         powers = [power for power, coeff in acc.items() if coeff]
         if not powers:
             return _ZERO
-        out = [0] * (_check_degree("term power", max(powers)) + 1)
+        low = min(powers)
+        out = [0] * (_check_degree("term power", max(powers)) - low + 1)
         for power in powers:
-            out[power] = acc[power]
-        return cls(out)
+            out[power - low] = acc[power]
+        return _pack(low, 1, out)
 
     # -- structure ---------------------------------------------------------
 
     @property
     def coeffs(self) -> Tuple[int, ...]:
-        return self._coeffs
+        """The dense coefficient tuple, built on each call."""
+        return (0,) * self._low + tuple(self._spread())
 
     @property
     def degree(self) -> Optional[int]:
         """Degree, or ``None`` for the zero polynomial."""
-        return len(self._coeffs) - 1 if self._coeffs else None
+        return self._low + self._step * (len(self._packed) - 1) if self._packed else None
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._packed
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._packed)
 
     def __len__(self) -> int:
-        return len(self._coeffs)
+        return self.degree + 1 if self._packed else 0
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self._coeffs)
+        return iter(self.coeffs)
 
     def __getitem__(self, power: int) -> int:
-        """Coefficient of x^power (0 beyond the stored degree)."""
-        if 0 <= power < len(self._coeffs):
-            return self._coeffs[power]
-        return 0
+        """Coefficient of x^power (0 off the stored progression)."""
+        b, off = divmod(power - self._low, self._step)
+        return self._packed[b] if not off and 0 <= b < len(self._packed) else 0
+
+    def _spread(self) -> List[int]:
+        # the coefficients of x^low, x^(low+1), ..., x^degree ([] for zero)
+        out = [0] * (self._step * (len(self._packed) - 1) + 1)
+        out[::self._step] = self._packed
+        return out
 
     # -- ring operations ----------------------------------------------------
 
@@ -135,18 +162,20 @@ class IntPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPoly(out)
+        if not other._packed or not self._packed:
+            return self if self._packed else other
+        # one class of powers mod 3 adds packed; mixed classes add spread out
+        step = 3 if self._step == other._step == 3 and (self._low - other._low) % 3 == 0 else 1
+        low = min(self._low, other._low)
+        out: List[int] = []
+        for p in (self, other):
+            _add_at(out, (p._low - low) // step, p._packed if p._step == step else p._spread())
+        return _pack(low, step, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "IntPoly":
-        return _canonical(tuple(-c for c in self._coeffs))
+        return _pack(self._low, self._step, tuple(-c for c in self._packed))
 
     def __sub__(self, other: Scalar) -> "IntPoly":
         other = _coerce(other)
@@ -164,27 +193,33 @@ class IntPoly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
+        a, b = self, other
+        if not a._packed or not b._packed:
             return _ZERO
-        if len(a) > len(b):
+        if len(a._packed) > len(b._packed):
             a, b = b, a
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
+        low = a._low + b._low
+        if len(a._packed) == 1:     # a monomial factor shifts and scales
+            c = a._packed[0]
+            return _pack(low, b._step, b._packed if c == 1 else tuple(c * v for v in b._packed))
+        # two step-3 factors convolve packed, with a ninth of the products
+        step = 3 if a._step == b._step == 3 else 1
+        pa, pb = (p._packed if p._step == step else p._spread() for p in (a, b))
+        width = len(pb)
+        out = [0] * (len(pa) + width - 1)
+        for i, ca in enumerate(pa):
             if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return IntPoly(out)
+                out[i:i + width] = [o + ca * cb for o, cb in zip(out[i:i + width], pb)]
+        return _pack(low, step, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "IntPoly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        if len(self._coeffs) > 1:
-            _check_degree("power's degree", (len(self._coeffs) - 1) * n)
-        elif self._coeffs and abs(self._coeffs[0]) > 1:
+        if self.degree:
+            _check_degree("power's degree", self.degree * n)
+        elif self._packed and abs(self._packed[0]) > 1:
             # c^n has no degree, but as many bits as the coefficients of (c x)^n
             _check_degree("exponent of a constant", n)
         result = _ONE
@@ -197,61 +232,55 @@ class IntPoly:
         return result
 
     def shifted(self, k: int) -> "IntPoly":
-        """Multiply by x^k."""
+        """Multiply by x^k; the result shares this polynomial's coefficient tuple."""
         if k < 0:
             raise ValueError("negative shift")
-        if not self._coeffs:
+        if not self._packed:
             return _ZERO
-        _check_degree("shifted degree", len(self._coeffs) - 1 + k)
-        return _canonical((0,) * k + self._coeffs)
+        _check_degree("shifted degree", self.degree + k)
+        return _pack(self._low + k, self._step, self._packed)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, IntPoly):
-            return self._coeffs == other._coeffs
+            return (self._low == other._low and self._step == other._step
+                    and self._packed == other._packed)
         if isinstance(other, int):
-            return self._coeffs == ((other,) if other else ())
+            return not self._low and self._packed == ((other,) if other else ())
         return NotImplemented
 
     def __hash__(self) -> int:
         # A constant hashes as the int it equals (the zero polynomial as 0).
-        c = self._coeffs
-        if len(c) > 1:
-            return hash(c)
-        return hash(c[0]) if c else 0
+        packed = self._packed
+        if self._low or len(packed) > 1:
+            return hash((self._low, self._step, packed))
+        return hash(packed[0]) if packed else 0
 
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, x0: Union[int, Fraction]) -> Union[int, Fraction]:
         """Exact Horner evaluation; the result type follows the input type.
 
-        At x0 = p/q (q = 1 for an ``int`` x0) a degree-d polynomial's sum
-        sum_k c_k p^k q^(d-k) is accumulated in ``int``; at a ``Fraction``
-        x0 it is divided by q^d once, so only one ``Fraction`` is built
-        (``Fraction(0)`` for the zero polynomial).  Horner steps only over
-        the nonzero coefficients: the gap g between two of them costs one
-        multiply by p^g and one by q^g, and so does the run of g zeros below
-        the lowest one.  Every family polynomial here lives on one residue
-        class of powers mod 3, so two coefficients in three are skipped.
+        At x0 = p/q (q = 1 for an ``int`` x0) the polynomial is x0^low times
+        a polynomial in y = x0^step, one coefficient per stored power.
+        Horner runs over the stored coefficients with p^step and q^step and
+        accumulates sum_b c_b P^b Q^(m-b) in ``int`` (P = p^step, Q =
+        q^step, m + 1 coefficients); at a ``Fraction`` x0 it is divided by
+        Q^m q^low once, so only one ``Fraction`` is built (``Fraction(0)``
+        for the zero polynomial).  A family polynomial has step 3, so each
+        Horner step covers three powers of x.
         """
         p, q = x0.numerator, x0.denominator
-        coeffs = self._coeffs
-        if not coeffs:
+        packed = self._packed
+        if not packed:
             return 0 * x0       # zero, in the type of x0
-        last = len(coeffs) - 1      # power of the last nonzero coefficient
-        acc, scale = coeffs[last], 1
-        gap, p_gap, q_gap = 1, p, q
-        for k in range(last - 1, -1, -1):
-            c = coeffs[k]
-            if c:
-                if last - k != gap:
-                    gap = last - k
-                    p_gap, q_gap = p ** gap, q ** gap
-                scale *= q_gap
-                acc = acc * p_gap + c * scale
-                last = k
-        if last:
-            acc *= p ** last
-            scale *= q ** last
+        p_step, q_step = p ** self._step, q ** self._step
+        acc, scale = packed[-1], 1
+        for c in packed[-2::-1]:
+            scale *= q_step
+            acc = acc * p_step + c * scale
+        if self._low:
+            acc *= p ** self._low
+            scale *= q ** self._low
         return Fraction(acc, scale) if isinstance(x0, Fraction) else acc
 
     def __call__(self, x0: Union[int, Fraction]) -> Union[int, Fraction]:
@@ -263,27 +292,37 @@ class IntPoly:
         return poly_format(self)
 
     def __repr__(self) -> str:
-        return f"IntPoly({list(self._coeffs)!r})"
+        return f"IntPoly({list(self.coeffs)!r})"
 
 
 def _coerce(value: Scalar) -> "IntPoly":
     if isinstance(value, IntPoly):
         return value
     if isinstance(value, int):
-        return IntPoly((value,)) if value else _ZERO
+        return _pack(0, 3, (value,))
     return NotImplemented
 
 
-def _canonical(coeffs: Tuple[int, ...]) -> IntPoly:
-    """The IntPoly of ``coeffs``, which is empty or ends in a nonzero value."""
+def _pack(low: int, step: int, values) -> IntPoly:
+    """The IntPoly with ``values[b]`` at x^(low + step b); ``values`` may
+    start or end with zeros, and a step-1 run on one class mod 3 is repacked
+    with step 3."""
     p = IntPoly.__new__(IntPoly)
-    p._coeffs = coeffs
+    p._set(low, step, values)
     return p
 
 
-_ZERO = _canonical(())
-_ONE = _canonical((1,))
-_X = _canonical((0, 1))
+def _add_at(out: List[int], offset: int, packed) -> None:
+    """``out[offset + b] += packed[b]`` for every b, padding ``out`` with zeros."""
+    end = offset + len(packed)
+    if len(out) < end:
+        out.extend([0] * (end - len(out)))
+    out[offset:end] = map(add, out[offset:end], packed)
+
+
+_ZERO = _pack(0, 3, ())
+_ONE = _pack(0, 3, (1,))
+_X = _pack(1, 3, (1,))
 
 
 def poly_add(p: IntPoly, q: IntPoly) -> IntPoly:
@@ -309,17 +348,18 @@ def poly_format(p: IntPoly) -> str:
     """
     text = getattr(p, "_text", None)
     if text is None:
-        text = p._text = _format(p._coeffs)
+        text = p._text = _format(p)
     return text
 
 
-def _format(coeffs: Tuple[int, ...]) -> str:
-    if not coeffs:
+def _format(p: IntPoly) -> str:
+    if not p._packed:
         return "0"
     parts = []
-    for power in range(len(coeffs) - 1, -1, -1):
-        coeff = coeffs[power]
+    for b in range(len(p._packed) - 1, -1, -1):
+        coeff = p._packed[b]
         if coeff:
+            power = p._low + p._step * b
             mag = abs(coeff)
             if power == 0:
                 body = str(mag)

@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
 
 from . import poly
 from .errors import DomainError, NumericalInstabilityError
-from .poly import IntPoly
+from .poly import IntPoly, _add_at, _pack
 
 V = TypeVar("V")
 M = TypeVar("M")
@@ -178,14 +178,16 @@ def _number_step(v: List[int]) -> int:
 
 
 def _shift_add(a: IntPoly, b: IntPoly, c: IntPoly) -> IntPoly:
-    """x^2·a + x·b + c, with the coefficients added into one list."""
-    out = [0, 0, *a.coeffs]
-    out.extend([0] * (max(len(b) + 1, len(c)) - len(out)))
-    for k, v in enumerate(b.coeffs, 1):
-        out[k] += v
-    for k, v in enumerate(c.coeffs):
-        out[k] += v
-    return IntPoly(out)
+    """x^2·a + x·b + c.  When the three terms share one class of powers mod 3,
+    as in every family step, their packed coefficients are added into one list."""
+    terms = [(p._low + k, p) for p, k in ((a, 2), (b, 1), (c, 0)) if p._packed]
+    low = min([t for t, _ in terms], default=0)
+    if not all(p._step == 3 and (t - low) % 3 == 0 for t, p in terms):
+        return a.shifted(2) + b.shifted(1) + c
+    out: List[int] = []
+    for t, p in terms:
+        _add_at(out, (t - low) // 3, p._packed)
+    return _pack(low, 3, out)
 
 
 def _poly_step(v: List[IntPoly]) -> IntPoly:

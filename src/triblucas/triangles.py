@@ -31,12 +31,11 @@ triangle memo, registered as ``triangles.triangle_entry_number`` or
 from __future__ import annotations
 
 import enum
-from itertools import compress
 from math import comb
 from typing import Iterator, List, NamedTuple, Tuple, Union
 
 from .errors import DomainError, InternalConsistencyError
-from .poly import IntPoly, poly_format
+from .poly import IntPoly, _add_at, _pack, poly_format
 from .sequences import _by_step, _GrowingCache, _shift_add, register_memo
 
 Entry = Union[int, IntPoly]
@@ -199,21 +198,22 @@ def diagonal_sum(kind: TriangleKind, n: int) -> Entry:
 
 
 def _poly_diagonal_sums(n: int, top: int) -> Iterator[List[int]]:
-    # Running sums of the stored B(n-i, i)(x) for i = 0..top <= floor(n/2),
-    # in one coefficient list of length 2n+1 (K_n has degree 2n): level i
-    # adds the nonzero coefficients of one entry, and the list, now holding
-    # K_n^(i)(x), is yielded and then updated in place by level i+1.
-    total = [0] * (2 * n + 1)
+    # Running sums of the stored B(n-i, i)(x) for i = 0..top <= floor(n/2).
+    # Their powers 2n - 3(i+j) are all 2n mod 3, so one list holds the
+    # coefficients of x^(2n mod 3 + 3b) up to x^(2n): level i adds one
+    # entry's packed coefficients, and the list, now holding K_n^(i)(x), is
+    # yielded and then updated in place by level i+1.
+    low = 2 * n % 3
+    total = [0] * (2 * n // 3 + 1)
     for i in range(top + 1):
-        entry = triangle_entry_poly(n - i, i).coeffs
-        for power in compress(range(len(entry)), entry):   # nonzero terms
-            total[power] += entry[power]
+        entry = triangle_entry_poly(n - i, i)
+        _add_at(total, (entry._low - low) // 3, entry._packed)
         yield total
 
 
 def _poly_diagonal_sum(n: int, top: int) -> IntPoly:
     *_, total = _poly_diagonal_sums(n, top)
-    return IntPoly(total)
+    return _pack(2 * n % 3, 3, total)
 
 
 def _binomial_diagonal_terms(n: int, top: int, weight_by_i: bool = False):

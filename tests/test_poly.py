@@ -4,6 +4,7 @@ import re
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -488,3 +489,147 @@ def test_an_int_point_is_the_fraction_point_with_denominator_one(p, k):
     at_int = p.evaluate(k)
     assert type(at_int) is int
     assert at_int == p.evaluate(Fraction(k))
+
+
+# -- the packed form against a dense reference ---------------------------------
+
+def _trim(dense):
+    out = list(dense)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _triple(dense):
+    # (low, step, packed) of a dense tuple, by the definition of the form
+    powers = [k for k, c in enumerate(dense) if c]
+    if not powers:
+        return 0, 3, ()
+    low = powers[0]
+    step = 3 if all((k - low) % 3 == 0 for k in powers) else 1
+    return low, step, tuple(dense[low:powers[-1] + 1:step])
+
+
+def _dense_add(a, b):
+    return _trim(x + y for x, y in zip_longest(a, b, fillvalue=0))
+
+
+def _dense_mul(a, b):
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _on_one_class(low, cs):
+    out = [0] * (low + 3 * len(cs))
+    out[low::3] = cs
+    return out
+
+
+_SMALL = st.integers(-3, 3)
+# Step-1 draws (any powers) and step-3 draws (one class mod 3, any class).
+dense_polys = st.one_of(
+    st.lists(_SMALL, max_size=10),
+    st.builds(_on_one_class, st.integers(0, 7), st.lists(_SMALL, max_size=5)))
+
+
+@st.composite
+def cancelling(draw, a):
+    # b with a + b = 0, a constant, a monomial, or a without its lowest or
+    # highest term
+    kind = draw(st.sampled_from(("zero", "constant", "monomial", "lowest", "highest")))
+    powers = [k for k, c in enumerate(a) if c]
+    if kind in ("lowest", "highest") and powers:
+        k = powers[0] if kind == "lowest" else powers[-1]
+        return [0] * k + [-a[k]]
+    b = [-c for c in a]
+    if kind != "zero":
+        k = 0 if kind == "constant" else draw(st.integers(0, 12))
+        b += [0] * (k + 1 - len(b))
+        b[k] += draw(_SMALL.filter(bool))
+    return b
+
+
+def _check(p, dense):
+    ref = _trim(dense)
+    assert (p._low, p._step, p._packed) == _triple(ref)
+    assert p.coeffs == ref and tuple(p) == ref and len(p) == len(ref)
+    assert p.degree == (len(ref) - 1 if ref else None)
+    assert [p[k] for k in range(-2, len(ref) + 3)] == [0, 0, *ref, 0, 0, 0]
+    assert p == IntPoly(ref) and hash(p) == hash(IntPoly(ref))
+    if len(ref) <= 1:
+        c = ref[0] if ref else 0
+        assert p == c and hash(p) == hash(c)
+    for x0 in (2, -1, Fraction(-2, 3)):
+        got = p.evaluate(x0)
+        assert got == sum(c * x0 ** k for k, c in enumerate(ref)) and type(got) is type(x0)
+    assert poly_parse(poly_format(p)) == p
+
+
+@settings(max_examples=300, deadline=None)
+@given(dense_polys, st.data())
+def test_packed_operations_match_a_dense_reference(a, data):
+    b = data.draw(st.one_of(dense_polys, cancelling(a)))
+    c, n, k = data.draw(_SMALL), data.draw(st.integers(0, 3)), data.draw(st.integers(0, 4))
+    pa, pb = IntPoly(a), IntPoly(b)
+    neg_b = [-v for v in b]
+    power = (1,)
+    for _ in range(n):
+        power = _dense_mul(power, a)
+    for p, ref in [(pa, a), (pb, b), (pa + pb, _dense_add(a, b)), (pa - pb, _dense_add(a, neg_b)),
+                   (-pb, neg_b), (pa * pb, _dense_mul(a, b)), (pa ** n, power),
+                   (pa.shifted(k), [0] * k + list(_trim(a)) if _trim(a) else ()),
+                   (pa + c, _dense_add(a, (c,))), (c - pa, _dense_add((c,), [-v for v in a])),
+                   (c * pa, _dense_mul((c,), a))]:
+        _check(p, ref)
+
+
+ROUTES = {
+    "dense": lambda: IntPoly([0, 0, 4, 0, 0, -1, 0, 0, 7, 0, 0]),
+    "from_terms": lambda: IntPoly.from_terms([(8, 7), (5, -1), (2, 4), (3, 1), (3, -1)]),
+    "parse": lambda: poly_parse("4*x^2 - x^5 + 7*x^8"),
+    "sum": lambda: IntPoly.monomial(7, 8) + IntPoly.monomial(-1, 5) + IntPoly.monomial(4, 2),
+    "mixed-sum-shifted": lambda: (IntPoly([4, 0, 0, -1, 0, 0, 7]) + IntPoly([1, 1])
+                                  - IntPoly([1, 1])).shifted(2),
+    # (1 + x)(1 - x + x^2) = 1 + x^3: factors on every class, a step-3 product
+    "mixed-product": lambda: (IntPoly([1, 1]) * IntPoly([1, -1, 1])
+                              * IntPoly.from_terms([(0, 4), (3, 7)])
+                              - IntPoly.monomial(12, 3)) * IntPoly.monomial(1, 2),
+    "negated-twice": lambda: -(-poly_parse("7*x^8 - x^5 + 4*x^2")),
+    "copy": lambda: copy.copy(poly_parse("7*x^8 - x^5 + 4*x^2")),
+    "pickle": lambda: pickle.loads(pickle.dumps(IntPoly.from_terms([(2, 4), (5, -1), (8, 7)]))),
+}
+
+
+@pytest.mark.parametrize("route", ROUTES.values(), ids=ROUTES.keys())
+def test_every_route_to_a_polynomial_gives_one_triple_and_hash(route):
+    p = route()
+    assert (p._low, p._step, p._packed) == (2, 3, (4, -1, 7))
+    assert hash(p) == hash(IntPoly([0, 0, 4, 0, 0, -1, 0, 0, 7]))
+
+
+def test_memo_held_family_polynomials_fit_a_third_of_the_dense_slots():
+    from triblucas import genfunc, sequences, triangles
+
+    for memo in MEMOS.values():
+        memo.clear()
+    tracemalloc.start()
+    try:
+        t = [sequences.tribonacci_poly(n) for n in range(301)]
+        k = [sequences.tribonacci_lucas_poly(n) for n in range(301)]
+        poly = triangles.TriangleKind.POLYNOMIALS
+        diagonals = [triangles.diagonal_sum(poly, n) for n in range(81)]
+        bodies = ([genfunc.series_expand(genfunc.q_gf(s), 96) for s in range(13)]
+                  + [genfunc.series_expand(genfunc.w_gf(s), 96) for s in range(1, 13)])
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    # 9.2-9.3 MB with every power stored from x^0 up, 5.9-6.0 MB packed
+    # (CPython 3.10-3.13)
+    assert held < 7_500_000
+    entries = [e for column in poly.columns._values for e in column._values]
+    series = [c for b in bodies for c in b.coeffs]
+    held_polys = t + k + diagonals + entries + series
+    assert len(entries) > 1600 and all(p._step == 3 for p in held_polys)
