@@ -20,6 +20,19 @@ numerator or denominator.  Family, level, variant, order and sweep-range
 domains are the library's own checks.  An internal error, any other
 exception, is one ``error: internal: <Type>: <message>`` line.  All output
 is UTF-8 with "\\n" newlines and deterministic.
+
+``verify`` runs in two processes once its arguments are checked: one forked
+worker runs the series ids (the six whose innermost axis is ``POWERS``)
+while this process runs the others, and the reports are merged in the
+requested order, repeats included, into the bytes a serial run writes.
+The run stays serial, with no fork, when the process may run on fewer than
+two CPUs, when ``os.fork`` is missing or when either group is empty.
+The worker sends its reports back over a pipe with ``marshal`` and leaves
+with ``os._exit``.  An exception in it is reported as a serial run reports
+it; a worker killed by a signal is one ``error: internal: RuntimeError:
+verify worker killed by signal <n>`` line, exit 3; if this process's group
+raises, the worker is killed and reaped and this process's error is the
+one line.  The exit codes are those of a serial run.
 """
 
 from __future__ import annotations
@@ -28,6 +41,7 @@ import argparse
 import csv
 import io
 import json
+import marshal
 import os
 import re
 import sys
@@ -267,6 +281,89 @@ def _cmd_gf(args) -> int:
 
 # -- verify ----------------------------------------------------------------------
 
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no sched_getaffinity, as on macOS
+        return os.cpu_count() or 1
+
+
+class _WorkerError(Exception):
+    """An exception of the worker, as ``main`` reports it: (message, exit code)."""
+
+
+def _report(exc: Exception):
+    """The one-line message and the exit code that ``main`` gives ``exc``."""
+    if isinstance(exc, _WorkerError):
+        return exc.args
+    if isinstance(exc, DomainError):
+        return str(exc), 2
+    return f"internal: {type(exc).__name__}: {exc}", 3
+
+
+def _plain(report) -> tuple:
+    # marshal writes tuples, not their subclasses
+    return tuple(report._replace(failures=tuple(map(tuple, report.failures))))
+
+
+def _unplain(row: tuple):
+    report = verify.IdentityReport._make(row)
+    return report._replace(failures=tuple(map(verify.Failure._make, report.failures)))
+
+
+def _serve(rng, ids, write_end: int) -> None:
+    """The worker's life: run the ids, send their reports as plain tuples, or
+    ``main``'s report of the exception that stopped them, and leave without
+    the parent's exit handlers or buffered output."""
+    code = 1
+    try:
+        try:
+            outcome = (list(map(_plain, verify.run_all(rng, ids))), None)
+        except Exception as exc:
+            outcome = (None, _report(exc))
+        with os.fdopen(write_end, "wb") as pipe:
+            marshal.dump(outcome, pipe)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_verify(rng, ids):
+    """``verify.run_all(rng, ids)``, with the series ids run in one forked
+    worker while this process runs the others, when both groups are
+    non-empty, ``os.fork`` exists and the process may run on two CPUs;
+    else serially.
+    The reports come back merged in the order of ``ids``."""
+    ids = list(verify._CATALOG) if ids is None else ids
+    # the series ids, whose innermost axis is POWERS, go to the worker
+    split = [verify._CATALOG[identity_id].axes[-1] is verify.POWERS for identity_id in ids]
+    if all(split) or not any(split) or not hasattr(os, "fork") or _cpu_count() < 2:
+        return verify.run_all(rng, ids)
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _serve(rng, [i for i, w in zip(ids, split) if w], write_end)
+    os.close(write_end)
+    try:
+        ours = iter(verify.run_all(rng, [i for i, w in zip(ids, split) if not w]))
+    except BaseException:
+        os.kill(pid, 9)   # SIGKILL: this side's error is the one reported
+        raise
+    finally:
+        with os.fdopen(read_end, "rb") as pipe:
+            payload = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status:
+        how = f"killed by signal {-status}" if status < 0 else f"exited with status {status}"
+        raise RuntimeError(f"verify worker {how}")
+    rows, error = marshal.loads(payload)
+    if error:
+        raise _WorkerError(*error)
+    theirs = map(_unplain, rows)
+    return [next(theirs) if w else next(ours) for w in split]
+
+
 def _cmd_verify(args) -> int:
     known = {identity_id for identity_id, _, _ in verify.list_identities()}
     for identity_id in args.id or ():
@@ -277,7 +374,7 @@ def _cmd_verify(args) -> int:
     if "x_points" in given:
         given["x_points"] = tuple(_parse_fraction(tok) for tok in given["x_points"].split(","))
     rng = verify.SweepRange(**given)
-    reports = verify.run_all(rng, args.id)
+    reports = _run_verify(rng, args.id)
     if args.format == JSON:
         sys.stdout.write(verify.reports_to_json(reports) + "\n")
     elif args.format == CSV:
@@ -429,12 +526,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except SystemExit as exc:   # after --help
         return exc.code
-    except DomainError as exc:
-        message, code = str(exc), 2
     except BrokenPipeError:
         raise
     except Exception as exc:
-        message, code = f"internal: {type(exc).__name__}: {exc}", 3
+        message, code = _report(exc)
     sys.stderr.write("error: " + message.replace("\n", " ") + "\n")
     return code
 

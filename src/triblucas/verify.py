@@ -512,6 +512,8 @@ def run_all(rng: Optional[SweepRange] = None,
     ``thm10-corrected`` and ``thm12`` built.  Bodies that existed before
     the id stay, extended if it read them, and so does every other memo,
     the direct series included: a library session keeps what it built.
+    The run is serial, in the calling process; only the CLI splits a
+    ``verify`` run between two processes (``cli._run_verify``).
     """
     if rng is None:
         rng = SweepRange()

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from triblucas import incomplete
+from triblucas import cli, incomplete
 from triblucas.cli import (
     GF_ORDER_MAX,
     GF_S_MAX,
@@ -199,9 +199,11 @@ def test_cli_import_does_not_load_mpmath():
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # Both cost start-up time that every command pays.
+    # Each costs start-up time that every command pays; verify's worker is
+    # forked with os and marshal alone.
     done = _python("-S", "-c", "import sys, triblucas.cli; "
-                   "loaded = {'dataclasses', 'inspect'} & set(sys.modules); "
+                   "loaded = {'dataclasses', 'inspect', 'multiprocessing', 'pickle', "
+                   "'subprocess', 'concurrent'} & set(sys.modules); "
                    "assert not loaded, loaded")
     assert done.returncode == 0, done.stderr
 
@@ -496,10 +498,13 @@ def test_internal_error_exits_3_with_one_line(capsys, monkeypatch):
         raise OverflowError("int too large\nto convert to float")
 
     monkeypatch.setattr(verify, "run_all", boom)
+    monkeypatch.setattr(cli, "_cpu_count", lambda: 2)   # the parent side raises
     code, out, err = run(capsys, "verify", "--format", "json")
     assert code == 3
     assert out == ""
     assert err == "error: internal: OverflowError: int too large to convert to float\n"
+    with pytest.raises(ChildProcessError):   # the worker was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_unknown_command(capsys):
