@@ -26,7 +26,9 @@ worker runs the series ids (the six whose innermost axis is ``POWERS``)
 while this process runs the others, and the reports are merged in the
 requested order, repeats included, into the bytes a serial run writes.
 The run stays serial, with no fork, when the process may run on fewer than
-two CPUs, when ``os.fork`` is missing or when either group is empty.
+two CPUs, when ``os.fork`` is missing or when either group is empty; when
+the fork fails (``EAGAIN``, ``ENOMEM``), the pipe is closed and the run
+goes on serially.
 The worker sends its reports back over a pipe with ``marshal`` and leaves
 with ``os._exit``.  An exception in it is reported as a serial run reports
 it; a worker killed by a signal is one ``error: internal: RuntimeError:
@@ -333,7 +335,7 @@ def _run_verify(rng, ids):
     """``verify.run_all(rng, ids)``, with the series ids run in one forked
     worker while this process runs the others, when both groups are
     non-empty, ``os.fork`` exists and the process may run on two CPUs;
-    else serially.
+    else serially, as also when the fork fails.
     The reports come back merged in the order of ``ids``."""
     ids = list(verify._CATALOG) if ids is None else ids
     # the series ids, whose innermost axis is POWERS, go to the worker
@@ -341,7 +343,12 @@ def _run_verify(rng, ids):
     if all(split) or not any(split) or not hasattr(os, "fork") or _cpu_count() < 2:
         return verify.run_all(rng, ids)
     read_end, write_end = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:     # EAGAIN or ENOMEM: no worker, so run every id here
+        os.close(read_end)
+        os.close(write_end)
+        return verify.run_all(rng, ids)
     if pid == 0:
         _serve(rng, [i for i, w in zip(ids, split) if w], write_end)
     os.close(write_end)

@@ -14,13 +14,16 @@ clearing and with expansion.
 
 Expansion keeps one body per pair, the longest computed so far: a shorter
 order is a prefix of it, and a longer one resumes the division from the state
-kept with it.  Every term of the Q_s and W_s factors has coefficient -1, so
-the symbolic division adds shifted coefficient lists without multiplying.
-Those lists are graded: every term x^a z^k of a Q_s or W_s pair has
-a + k in one class mod 3 (the factors' terms have weight 0 mod 3), so the
-list for z^k holds only the x-powers a = r + 2k (mod 3), a third of them:
-the packed coefficients of a step-3 ``IntPoly``, read and emitted as they
-stand.  A pair whose terms do not fit runs the same loop on step-1 lists.
+kept with it.  Every term x^a z^k of a Q_s or W_s pair has a + k in one
+class mod 3 (the factors' terms have weight 0 mod 3), so a = r + 2k - 3m
+for some column m.  The symbolic division runs on these columns, each a
+list over the powers of z: dividing by 1 - x^2 z is a prefix sum along
+each column, and dividing by 1 - x^2 z - x z^2 - z^3 adds columns m - 1 and
+m - 2, two and three positions back, into column m before its prefix sum.
+The z^k coefficient is the step-3 ``IntPoly`` read across the columns at k.
+A symbolic pair whose terms do not fit the columns runs a row kernel:
+shifted x-coefficient lists, one per z^k, graded mod 3 where the pair
+allows.
 
 The incomplete-Tribonacci generating function is
 
@@ -57,6 +60,7 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from math import comb, gcd, lcm
 from operator import add, sub
 from typing import NamedTuple, Optional, Tuple, Union
@@ -223,27 +227,45 @@ def series_expand(gf: RationalGF, order: int) -> PowerSeries:
     a state out of step with its body.  The bodies sit in the dict
     ``genfunc.series_expand`` of the registry ``sequences.MEMOS``, keyed by
     :func:`series_key`; ``verify.run_all`` drops each body that a catalog id
-    created right after that id, and a library session keeps them.  Both
+    created right after that id, and a library session keeps them.  The
     kernels accumulate in ``int``:
 
     - a pair with ``IntPoly`` coefficients (``int`` ones are promoted)
-      divides by each of its ``factors`` in turn, or by the denominator when
-      it has none: one pass runs p_k = num_k - sum_j den_j p_(k-j) on the
-      x-coefficient lists, multiplying only by the nonzero terms of each
-      den_j, and its output is the next pass's numerator.  Q_s and W_s
-      carry the factors 1 - x^2 z - x z^2 - z^3 and s+1 times 1 - x^2 z,
-      whose coefficients are single monomials in x with coefficient -1, so
-      each of their terms adds a shifted list instead of multiplying it.
+      divides by each of its ``factors``, or by the denominator when it has
+      none.  Q_s and W_s carry the factors 1 - x^2 z - x z^2 - z^3 and s+1
+      times 1 - x^2 z.  Graded as :func:`_grading` finds (g = 3 and t = 2
+      for every Q_s and W_s), the term x^a z^k sits in column
+      m = (t k + r - a) / 3, and a factor term x^e z^j moves a column up by
+      delta = (t j - e) / 3.  When every factor term has delta >= 0 and only
+      -x^t z has delta = 0, as in every Q_s and W_s pair, the column kernel
+      divides.  Each 1 - x^t z is one prefix sum (``itertools.accumulate``)
+      along each numerator column; each other factor then goes up column by
+      column, adding -c times column m - delta, j positions back, for each
+      of its terms c x^e z^j, and runs the column's prefix sum where the
+      factor holds -x^t z, until the input is used up and the columns a
+      next one would read are zero.  The arithmetic is exact, so the order
+      of the divisions changes no value.  The z^k coefficient is the step-3
+      ``IntPoly`` read across the columns at position k.  The state keeps,
+      per numerator column, the last value of each prefix sum, and per
+      nonzero column of each other factor its last w values, w the highest
+      power of z that the factor reads back; the
+      corrected Q_s and W_s have 2s + 1 columns at every order, so their
+      state does not grow with it.  A resumed kernel extends each column
+      with ``accumulate(..., initial=...)`` and adds any column that first
+      turns nonzero past the old length.
+      Every other ``IntPoly`` pair runs the row kernel: one pass per factor
+      runs p_k = num_k - sum_j den_j p_(k-j) on the x-coefficient lists,
+      multiplying only by the nonzero terms of each den_j, and its output is
+      the next pass's numerator; a coefficient of -1 adds a shifted list.
       The lists are graded mod g = 3 when every factor term x^e z^j has
-      e = t j and every numerator term x^a z^k has a = r + t k (mod 3), as
-      in every Q_s and W_s pair (t = 2): the list for z^k then holds only
-      the coefficients of x^(rho_k + 3b), rho_k = (r + t k) mod 3, and a
-      factor term x^e z^j adds list k - j at offset
-      (rho_(k-j) + e - rho_k) / 3.  Those are the packed coefficients of
-      the step-3 ``IntPoly`` at z^k, up to leading zeros, so the kernel reads
-      its inputs and builds its outputs on them.  Any other pair runs with
-      g = 1 on step-1 lists.
-      The state keeps each pass's last len(f) - 1 outputs;
+      e = t j and every numerator term x^a z^k has a = r + t k (mod 3): the
+      list for z^k then holds only the coefficients of x^(rho_k + 3b),
+      rho_k = (r + t k) mod 3, and a factor term x^e z^j adds list k - j at
+      offset (rho_(k-j) + e - rho_k) / 3.  Those are the packed coefficients
+      of the step-3 ``IntPoly`` at z^k, up to leading zeros, so the kernel
+      reads its inputs and builds its outputs on them.  Any other pair runs
+      with g = 1 on step-1 lists.  The state keeps each pass's last
+      len(f) - 1 outputs;
     - an ``int``/``Fraction`` pair runs
       P_k = c m^k num_k - sum_j (m^j den_j) P_(k-j) on integers, with m and
       c built from the coefficient denominators so that every m^j den_j
@@ -263,7 +285,12 @@ def series_expand(gf: RationalGF, order: int) -> PowerSeries:
     if body is None:
         state = [0, None]
         if kind is IntPoly:
-            grow = partial(_grow_polys, gf.numerator, gf.factors or (gf.denominator,), state)
+            factors = gf.factors or (gf.denominator,)
+            plan = _column_plan(gf.numerator, factors)
+            if plan is None:
+                grow = partial(_grow_polys, gf.numerator, factors, state)
+            else:
+                grow = partial(_grow_columns, plan, state)
         else:
             grow = partial(_grow_scalars, gf.numerator, gf.denominator, state,
                            fraction=kind is Fraction)
@@ -410,6 +437,136 @@ def _grow_polys(num, factors, state: list, body: list, length: int) -> None:
         kept.append([list(p) for p in out[max(0, len(out) - (len(den) - 1)):]])
     body.extend(_pack(rho[k % g], g, packed) for k, packed in enumerate(heads, start))
     state[:] = length, kept
+
+
+# -- the column kernel (see series_expand) ---------------------------------------
+#
+# On a pair graded as (3, t, r), the term x^a z^k sits in column
+# m = (t k + r - a) / 3, and a factor term x^e z^j moves a column up by
+# delta = (t j - e) / 3.  A column is a list over the positions z^k.
+
+def _column_plan(num, factors):
+    # (t, r, numerator columns, prefix-sum passes, scans) of a pair that the
+    # column kernel divides, else None.  A numerator column is dense over
+    # positions 0..len(num)-1.  1 - x^t z keeps every column: it is one
+    # prefix-sum pass.  Every other factor is a scan (width, prefix, terms):
+    # its (j, delta, coefficient) terms with delta >= 1, whether it holds
+    # -x^t z, and the largest j it reads back.
+    distinct = list(dict.fromkeys(factors))
+    g, t, r = _grading(num, distinct)
+    if g == 1:
+        return None
+    kinds = {}
+    for f in distinct:
+        prefix, terms = False, []
+        for j, p in enumerate(map(_coerce, f[1:]), 1):
+            for b, c in enumerate(p._packed):
+                if not c:
+                    continue
+                delta = (t * j - p._low - p._step * b) // g
+                if delta > 0:
+                    terms.append((j, delta, c))
+                elif delta == 0 and j == 1 and c == -1:
+                    prefix = True
+                else:
+                    return None
+        kinds[f] = prefix, terms
+    passes, scans = 0, []
+    for f in factors:
+        prefix, terms = kinds[f]
+        if terms:
+            scans.append((max(j for j, _, _ in terms), prefix, terms))
+        else:
+            passes += prefix
+    columns = {}
+    for k, p in enumerate(map(_coerce, num)):
+        for b, c in enumerate(p._packed):
+            if c:
+                m = (t * k + r - p._low - p._step * b) // g
+                if m not in columns:
+                    columns[m] = [0] * len(num)
+                columns[m][k] = c
+    return t, r, columns, passes, scans
+
+
+def _grow_columns(plan, state: list, body: list, length: int) -> None:
+    # Appends positions len(body)..length-1 to body.  The numerator's columns
+    # run through the prefix-sum passes first, then every scan in turn; the
+    # arithmetic is exact, so the order of the divisions changes no value.
+    # state keeps, per numerator column, the last value of each pass, and per
+    # scan the last width values of each column where they are not all zero.
+    t, r, num, passes, scans = plan
+    start = len(body)
+    carries, tails = _resume(state, start, ({m: [0] * passes for m in num},
+                                            [{} for _ in scans]))
+    n = length - start
+    columns, kept = {}, {}
+    for m, column in num.items():
+        new = column[start:length]
+        new += [0] * (n - len(new))
+        last = []
+        for carry in carries[m]:
+            new = list(accumulate(new, initial=carry))[1:]
+            last.append(new[-1])
+        kept[m] = last
+        if any(new):
+            columns[m] = new
+    scanned = []
+    for scan, tail in zip(scans, tails):
+        columns, tail = _scan(columns, tail, n, *scan)
+        scanned.append(tail)
+    if columns:
+        top, bottom = max(columns), min(columns)
+        zeros = [0] * n
+        rows = zip(*[columns.get(m, zeros) for m in range(top, bottom - 1, -1)])
+        body.extend(_pack(t * k + r - _GRADE * top, _GRADE, row)
+                    for k, row in enumerate(rows, start))
+    else:
+        body.extend([_ZERO_OF[IntPoly]] * n)
+    state[:] = length, (kept, scanned)
+
+
+def _scan(columns: dict, tails: dict, n: int, width: int, prefix: bool, terms):
+    # Divides the n new positions of columns by one factor, going up from the
+    # lowest column until no input is left and the columns a next one would
+    # read are zero.  Column m adds -c times column m - delta, j positions
+    # back, for each term, then, with prefix, runs its prefix sum on from the
+    # last value kept in tails.  Returns the nonzero new columns and their
+    # tails.
+    keys = columns.keys() | tails.keys()
+    if not keys:
+        return {}, {}
+    reach = max(delta for _, delta, _ in terms)
+    top = max(keys)
+    m = min(keys)
+    zero = [0] * width
+    window = {}     # column -> its kept tail and new values, when not all zero
+    out, kept = {}, {}
+    while True:
+        new = columns.get(m) or [0] * n
+        for j, delta, c in terms:
+            below = window.get(m - delta)
+            if below is None:
+                continue
+            below = below[width - j:width - j + n]
+            if c == -1:         # every such term of Q_s and W_s
+                new = list(map(add, new, below))
+            else:
+                new = [a - c * b for a, b in zip(new, below)]
+        tail = tails.get(m, zero)
+        if prefix:
+            new = list(accumulate(new, initial=tail[-1]))[1:]
+        nonzero = any(new)
+        if nonzero:
+            out[m] = new
+        if nonzero or m in tails:
+            window[m] = tail + new
+            last = window[m][-width:]
+            if any(last):
+                kept[m] = last
+        if m >= top and all(m - i not in window for i in range(reach)):
+            return out, kept
+        m += 1
 
 
 def _grow_scalars(num, den, state: list, body: list, length: int, fraction: bool) -> None:

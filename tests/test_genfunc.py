@@ -358,17 +358,65 @@ def _factored_pairs(draw):
     return draw(st.lists(coeff, max_size=6)), den, tuple(factors)
 
 
+@st.composite
+def _column_pairs(draw):
+    # Pairs that the column kernel divides: graded mod 3 with t = 1 or 2,
+    # 1-4 copies of 1 - x^t z, 0-2 more factors that hold -x^t z, and one
+    # that does not.  Their other terms x^e z^j move a column up by
+    # delta = (t j - e) / 3 = 1-3 and have non-unit coefficients.
+    t = draw(st.integers(1, 2))
+    r = draw(st.integers(0, 2))
+
+    def coeff(residue):
+        cs = draw(st.lists(st.integers(-9, 9), max_size=4))
+        if residue == 0 and len(cs) <= 1 and draw(st.booleans()):
+            return cs[0] if cs else 0
+        full = [0] * (3 * len(cs))
+        full[residue::3] = cs
+        return IntPoly(full)
+
+    def factor(keeps_column):
+        terms = {1: -IntPoly.monomial(1, t)} if keeps_column else {}
+        for delta in draw(st.lists(st.integers(1, 3), min_size=1, max_size=2, unique=True)):
+            j = draw(st.integers(-(-3 * delta // t), 2 - (-3 * delta // t)))
+            c = draw(st.sampled_from([-3, -2, 2, 3]))
+            e = t * j - 3 * delta
+            term = c if e == 0 and draw(st.booleans()) else IntPoly.monomial(c, e)
+            terms[j] = terms.get(j, 0) + term
+        unit = draw(st.sampled_from([1, IntPoly.one()]))
+        return (unit,) + tuple(terms.get(j, 0) for j in range(1, max(terms) + 1))
+
+    num = [coeff((r + t * k) % 3) for k in range(draw(st.integers(0, 6)))]
+    factors = [(1, -IntPoly.monomial(1, t))] * draw(st.integers(1, 4))
+    factors += [factor(True) for _ in range(draw(st.integers(0, 2)))] + [factor(False)]
+    factors = draw(st.permutations(factors))
+    den = [IntPoly.one()]
+    for f in factors:
+        den = _zmul(den, f)
+    return num, den, tuple(factors)
+
+
 _X = IntPoly.x()
 _X2 = IntPoly.monomial(1, 2)
 # (1 - x^2 z)(1 + x^2 z^2), a factor with an int unit and an inner zero.
 _FACTORED = ([_X, 1], [1, -_X2, _X2, -_X2 * _X2], ((1, -_X2), (IntPoly.one(), 0, _X2)))
-# Q_s-like pairs over 1 - x^2 z - x z^2 - z^3 and a second factor: graded
-# mod 3 with 1 - x^2 z, and not with 1 - (x^2 + x) z, whose x z term is
-# off the lattice.
+# A Q_s-like pair over 1 - x^2 z - x z^2 - z^3 and 1 - x^2 z, which the
+# column kernel divides.
 _TRIB_FACTOR = (1, -_X2, -_X, -1)
-_ON_LATTICE = ([_X, 1, _X2], _zmul(_TRIB_FACTOR, (1, -_X2)), (_TRIB_FACTOR, (1, -_X2)))
+_Q_LIKE = ([_X, 1, _X2], _zmul(_TRIB_FACTOR, (1, -_X2)), (_TRIB_FACTOR, (1, -_X2)))
+# Q_s-like pairs that the row kernel divides: graded mod 3 with
+# 1 - x^2 z - x^4 z^2, whose x^4 z^2 term keeps its column, and not with
+# 1 - (x^2 + x) z, whose x z term is off the lattice.
+_ON_LATTICE = ([_X, 1, _X2], _zmul(_TRIB_FACTOR, (1, -_X2, -_X2 * _X2)),
+               (_TRIB_FACTOR, (1, -_X2, -_X2 * _X2)))
 _OFF_LATTICE = ([_X, 1, _X2], _zmul(_TRIB_FACTOR, (1, -_X2 - _X)),
                 (_TRIB_FACTOR, (1, -_X2 - _X)))
+# 1 over (1 - x^2 z)(1 + 2 z^3): column m >= 0 first turns nonzero at z^(3m/2).
+_LATE_COLUMNS = ([1], _zmul((1, -_X2), (1, 0, 0, 2)), ((1, -_X2), (1, 0, 0, 2)))
+# x^6 + 1 over (1 - x^2 z)(1 + 2 x z^2): numerator columns -2 and 0, and below
+# z^2 nothing in column -1 between them.
+_GAP = ([IntPoly.monomial(1, 6) + 1], _zmul((1, -_X2), (1, 0, 2 * _X)),
+        ((1, -_X2), (1, 0, 2 * _X)))
 
 
 def test_a_pair_of_constant_polynomials_hashes_as_its_int_twin():
@@ -380,13 +428,18 @@ def test_a_pair_of_constant_polynomials_hashes_as_its_int_twin():
 
 @settings(max_examples=250)
 @given(st.one_of(_pairs(_polys, IntPoly.one()), _pairs(st.integers(-9, 9), 1),
-                 _pairs(_fracs, Fraction(1)), _graded_pairs(), _factored_pairs()),
+                 _pairs(_fracs, Fraction(1)), _graded_pairs(), _factored_pairs(),
+                 _column_pairs()),
        st.integers(0, 8), st.integers(0, 14))
 # A pair graded mod 3 but for the x term of num_1.
 @example(([1, _X2 + _X, 5 * _X], [1, -_X2, -_X, -1]), 0, 14)
 # A factored pair with shift >= order, and at order 0.
 @example(_FACTORED, 9, 4)
 @example(_FACTORED, 0, 0)
+# The column kernel with the unit coefficients of Q_s and W_s, and on a
+# numerator column above a zero one.
+@example(_Q_LIKE, 1, 14)
+@example(_GAP, 0, 2)
 def test_expansion_kernels_match_the_generic_loop(pair, shift, order):
     # Equal pairs with and without factors share one memo entry.
     BODIES.clear()
@@ -413,6 +466,32 @@ def test_grading_is_detected_from_the_pair_terms():
     off = [([1, _X2 + _X, 5 * _X], ((1, -_X2, -_X, -1),)), _OFF_LATTICE[::2]]
     for num, factors in off:
         assert genfunc._grading(num, factors) == (1, 0, 0)
+
+
+def _kernel_of(gf):
+    BODIES.clear()
+    series_expand(gf, 1)
+    kernel = BODIES[series_key(gf)]._extend.func
+    BODIES.clear()
+    return kernel
+
+
+def test_q_and_w_pairs_take_the_column_kernel():
+    pairs = [q_gf(s, variant) for s in range(17) for variant in GFVariant]
+    pairs += [w_gf(s) for s in range(1, 17)]
+    for gf in pairs:
+        assert _kernel_of(gf) is genfunc._grow_columns
+    # graded with a factor term that keeps its column, and ungraded
+    for pair in (_ON_LATTICE, _OFF_LATTICE):
+        assert _kernel_of(RationalGF(tuple(pair[0]), tuple(pair[1]), 0, pair[2])) \
+            is genfunc._grow_polys
+
+
+@settings(max_examples=50)
+@given(_column_pairs())
+def test_column_pairs_take_the_column_kernel(pair):
+    assert _kernel_of(RationalGF(tuple(pair[0]), tuple(pair[1]), 0, pair[2])) \
+        is genfunc._grow_columns
 
 
 def test_factors_must_have_unit_terms_and_multiply_to_the_denominator():
@@ -525,7 +604,8 @@ def test_expansion_memo_keeps_coefficient_types(int_first):
 
 @settings(max_examples=250)
 @given(st.one_of(_pairs(_polys, IntPoly.one()), _pairs(st.integers(-9, 9), 1),
-                 _pairs(_fracs, Fraction(1)), _graded_pairs(), _factored_pairs()),
+                 _pairs(_fracs, Fraction(1)), _graded_pairs(), _factored_pairs(),
+                 _column_pairs()),
        st.integers(0, 8), st.lists(st.integers(0, 24), min_size=1, max_size=4))
 # Resuming a factored pair past its first len(f) - 1 positions, and short of them.
 @example(_FACTORED, 0, [5, 24])
@@ -533,6 +613,10 @@ def test_expansion_memo_keeps_coefficient_types(int_first):
 # Resuming on x-lists graded mod 3 and, one factor term off, ungraded.
 @example(_ON_LATTICE, 2, [7, 3, 20, 24])
 @example(_OFF_LATTICE, 2, [7, 3, 20, 24])
+# Resuming on columns; for the second pair, the top output column at order
+# 24 is still zero at order 2.
+@example(_Q_LIKE, 2, [7, 3, 20, 24])
+@example(_LATE_COLUMNS, 0, [2, 24])
 def test_expansion_resumes_from_the_memoised_body(pair, shift, orders):
     # Each order is served from, or continues, the longest body so far.
     BODIES.clear()
@@ -576,27 +660,38 @@ def test_expansion_memo_keeps_one_body_per_pair():
 @pytest.mark.parametrize("gf", [q_gf(4), w_gf(5), q_gf(3, GFVariant.CORRECTED, Fraction(2, 3))],
                          ids=["Q", "W", "Fraction"])
 def test_kept_division_state_stays_short_and_in_step_with_its_body(gf):
-    # The kernel keeps only what its recurrence reads of the past: per pass,
-    # the last len(f) - 1 outputs (or the last len(den) - 1 values P_k).
+    # The kernel keeps only what its recurrence reads of the past.  The
+    # column kernel keeps, per numerator column, the last value of each of
+    # the s + 1 (1 - x^2 z) passes, and per output column of the
+    # 1 - x^2 z - x z^2 - z^3 scan its last three values; Q_s and W_s have a
+    # fixed set of output columns, so the state has one size at every order.
+    # The scalar kernel keeps the last len(den) - 1 values P_k.
     BODIES.clear()
     fresh = series_expand(gf, 96).coeffs
     BODIES.clear()
     longest = 0
+    sizes = set()
     for order in (32, 96, 64):
         longest = max(longest, order)
         assert series_expand(gf, order).coeffs == fresh[:order]
         body = BODIES[series_key(gf)]
-        _, dens, (position, tails) = body._extend.args
+        *_, (position, kept) = body._extend.args
         assert position == len(body) == longest - gf.shift
         if series_key(gf)[1] is IntPoly:
-            assert len(tails) == len(dens) == len(gf.factors)
-            assert all(len(tail) == len(f) - 1 for f, tail in zip(dens, tails))
+            plan = body._extend.args[0]
+            carries, (tails,) = kept
+            assert carries.keys() == plan[2].keys()
+            assert {len(last) for last in carries.values()} == {len(gf.factors) - 1}
+            assert {len(last) for last in tails.values()} == {3}
+            sizes.add((len(carries), tuple(sorted(tails))))
         else:
-            assert len(tails) == len(dens) - 1
+            assert len(kept) == len(body._extend.args[1]) - 1
+            sizes.add(len(kept))
+    assert len(sizes) == 1
     # A cleared body starts the division over.
     body.clear()
     assert series_expand(gf, 64).coeffs == fresh[:64]
-    assert body._extend.args[2][0] == len(body) == 64 - gf.shift
+    assert body._extend.args[-1][0] == len(body) == 64 - gf.shift
     # A state out of step with its body fails loudly.
     body._values.pop()
     with pytest.raises(InternalConsistencyError):
@@ -613,20 +708,20 @@ def test_threads_growing_one_pair_run_the_kernel_once_per_extension(first):
     BODIES.clear()
     want = series_expand(gf, 96).coeffs
     BODIES.clear()
-    kernel, calls, entered = genfunc._grow_polys, [], threading.Event()
+    kernel, calls, entered = genfunc._grow_columns, [], threading.Event()
 
-    def slow_kernel(num, factors, state, body, length):
+    def slow_kernel(plan, state, body, length):
         calls.append((len(body), length))
         entered.set()
         time.sleep(0.2)
-        return kernel(num, factors, state, body, length)
+        return kernel(plan, state, body, length)
 
     results = []
 
     def ask(order):
         results.append((order, series_expand(gf, order).coeffs))
 
-    with mock.patch.object(genfunc, "_grow_polys", slow_kernel):
+    with mock.patch.object(genfunc, "_grow_columns", slow_kernel):
         threads = [threading.Thread(target=ask, args=(first,))]
         threads[0].start()
         assert entered.wait(timeout=60)

@@ -2,6 +2,7 @@
 codes as the serial path, every failure reported as the serial path reports
 it, and no process left behind."""
 
+import errno
 import hashlib
 import json
 import os
@@ -124,6 +125,21 @@ def test_without_fork_the_run_is_serial(capsys, monkeypatch):
     monkeypatch.delattr(os, "fork")
     assert cli.main(["verify", *BOTH_GROUPS]) == 0
     assert [r["id"] for r in json.loads(capsys.readouterr().out)] == ["eq2.2", "thm12"]
+
+
+def test_a_failed_fork_closes_the_pipe_and_runs_serially(capsys, monkeypatch):
+    def no_process():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(cli, "_cpu_count", lambda: FAN_OUT)
+    monkeypatch.setattr(os, "fork", no_process)
+    fds = len(os.listdir("/proc/self/fd"))
+    code = cli.main(["verify", "--format", "json"])
+    captured = capsys.readouterr()
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert (code, captured.err) == (0, "")
+    reference = ROOT / "perfbench" / "reference" / "verify-default-seed0.json"
+    assert captured.out.encode("utf-8") == reference.read_bytes()
 
 
 def test_one_cpu_keeps_the_run_serial(capsys, monkeypatch):
