@@ -39,7 +39,7 @@ from .incomplete import (
     row_sum_lhs_rhs,
     tl_relation_rhs,
 )
-from .poly import IntPoly, poly_add, poly_eval, poly_format, poly_mul, poly_parse
+from .poly import IntPoly, poly_format, poly_parse
 from .sequences import (
     SequenceFamily,
     binet_estimate,

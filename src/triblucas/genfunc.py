@@ -21,9 +21,10 @@ list over the powers of z: dividing by 1 - x^2 z is a prefix sum along
 each column, and dividing by 1 - x^2 z - x z^2 - z^3 adds columns m - 1 and
 m - 2, two and three positions back, into column m before its prefix sum.
 The z^k coefficient is the step-3 ``IntPoly`` read across the columns at k.
-A symbolic pair whose terms do not fit the columns runs a row kernel:
-shifted x-coefficient lists, one per z^k, graded mod 3 where the pair
-allows.
+Every other symbolic pair runs on columns too: their slope t is raised
+until no factor term moves a column down, a factor term that keeps its
+column is a short recurrence along it, and a pair whose terms share no
+class mod 3 runs on columns of step 1.
 
 The incomplete-Tribonacci generating function is
 
@@ -60,9 +61,9 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import comb, gcd, lcm
-from operator import add, sub
+from operator import add
 from typing import NamedTuple, Optional, Tuple, Union
 
 from .errors import DomainError, ExpansionError, InternalConsistencyError
@@ -233,39 +234,29 @@ def series_expand(gf: RationalGF, order: int) -> PowerSeries:
     - a pair with ``IntPoly`` coefficients (``int`` ones are promoted)
       divides by each of its ``factors``, or by the denominator when it has
       none.  Q_s and W_s carry the factors 1 - x^2 z - x z^2 - z^3 and s+1
-      times 1 - x^2 z.  Graded as :func:`_grading` finds (g = 3 and t = 2
-      for every Q_s and W_s), the term x^a z^k sits in column
-      m = (t k + r - a) / 3, and a factor term x^e z^j moves a column up by
-      delta = (t j - e) / 3.  When every factor term has delta >= 0 and only
-      -x^t z has delta = 0, as in every Q_s and W_s pair, the column kernel
-      divides.  Each 1 - x^t z is one prefix sum (``itertools.accumulate``)
-      along each numerator column; each other factor then goes up column by
-      column, adding -c times column m - delta, j positions back, for each
-      of its terms c x^e z^j, and runs the column's prefix sum where the
-      factor holds -x^t z, until the input is used up and the columns a
-      next one would read are zero.  The arithmetic is exact, so the order
-      of the divisions changes no value.  The z^k coefficient is the step-3
-      ``IntPoly`` read across the columns at position k.  The state keeps,
-      per numerator column, the last value of each prefix sum, and per
-      nonzero column of each other factor its last w values, w the highest
-      power of z that the factor reads back; the
+      times 1 - x^2 z.  :func:`_grading` finds g, t and r with every factor
+      term x^e z^j at e = t j and every numerator term x^a z^k at
+      a = r + t k (mod g), g = 3 where the pair allows and g = 1 otherwise;
+      t is then raised by multiples of g to the smallest value with t j >= e
+      for every factor term (t = 2 for every Q_s and W_s pair).  The term
+      x^a z^k sits in column m = (t k + r - a) / g, and a factor term x^e z^j
+      moves a column up by delta = (t j - e) / g >= 0.  Each 1 - x^t z is one
+      prefix sum (``itertools.accumulate``) along each numerator column; each
+      other factor then goes up column by column, adding -c times column
+      m - delta, j positions back, for each of its terms c x^e z^j with
+      delta >= 1, and runs the column's in-column recurrence: the prefix sum
+      where the factor's delta = 0 terms are -x^t z alone, else
+      v_k -= c v_(k-j) for each of them.  It stops once the input is used up
+      and the columns a next one would read are zero.  The arithmetic is
+      exact, so the order of the divisions changes no value.  The z^k
+      coefficient is the step-g ``IntPoly`` read across the columns at
+      position k.  The state keeps, per numerator column, the last value of
+      each prefix sum, and per nonzero column of each other factor its last
+      w values, w the highest power of z that the factor reads back; the
       corrected Q_s and W_s have 2s + 1 columns at every order, so their
       state does not grow with it.  A resumed kernel extends each column
-      with ``accumulate(..., initial=...)`` and adds any column that first
-      turns nonzero past the old length.
-      Every other ``IntPoly`` pair runs the row kernel: one pass per factor
-      runs p_k = num_k - sum_j den_j p_(k-j) on the x-coefficient lists,
-      multiplying only by the nonzero terms of each den_j, and its output is
-      the next pass's numerator; a coefficient of -1 adds a shifted list.
-      The lists are graded mod g = 3 when every factor term x^e z^j has
-      e = t j and every numerator term x^a z^k has a = r + t k (mod 3): the
-      list for z^k then holds only the coefficients of x^(rho_k + 3b),
-      rho_k = (r + t k) mod 3, and a factor term x^e z^j adds list k - j at
-      offset (rho_(k-j) + e - rho_k) / 3.  Those are the packed coefficients
-      of the step-3 ``IntPoly`` at z^k, up to leading zeros, so the kernel
-      reads its inputs and builds its outputs on them.  Any other pair runs
-      with g = 1 on step-1 lists.  The state keeps each pass's last
-      len(f) - 1 outputs;
+      from that state and adds any column that first turns nonzero past the
+      old length;
     - an ``int``/``Fraction`` pair runs
       P_k = c m^k num_k - sum_j (m^j den_j) P_(k-j) on integers, with m and
       c built from the coefficient denominators so that every m^j den_j
@@ -285,12 +276,8 @@ def series_expand(gf: RationalGF, order: int) -> PowerSeries:
     if body is None:
         state = [0, None]
         if kind is IntPoly:
-            factors = gf.factors or (gf.denominator,)
-            plan = _column_plan(gf.numerator, factors)
-            if plan is None:
-                grow = partial(_grow_polys, gf.numerator, factors, state)
-            else:
-                grow = partial(_grow_columns, plan, state)
+            plan = _column_plan(gf.numerator, gf.factors or (gf.denominator,))
+            grow = partial(_grow_columns, plan, state)
         else:
             grow = partial(_grow_scalars, gf.numerator, gf.denominator, state,
                            fraction=kind is Fraction)
@@ -352,51 +339,6 @@ def _classes(zpoly) -> set:
             for b, c in enumerate(p._packed[:1] if p._step == 3 else p._packed) if c}
 
 
-def _terms(den, rho: list) -> list:
-    # For each residue of k mod g = len(rho): (j, nonzero (offset,
-    # coefficient) terms of den_j), ascending in j.  A term x^e of
-    # den_j adds list k - j into list k at offset (rho_(k-j) + e - rho_k) / g,
-    # which the grading makes exact and >= 0.
-    g = len(rho)
-    tables = []
-    for phase in range(g):
-        terms = []
-        for j in range(1, len(den)):
-            back = rho[(phase - j) % g] - rho[phase]
-            p = _coerce(den[j])
-            nonzero = [((p._low + p._step * b + back) // g, c)
-                       for b, c in enumerate(p._packed) if c]
-            if nonzero:
-                terms.append((j, nonzero))
-        tables.append(terms)
-    return tables
-
-
-def _fold(acc: list, terms, src, r: int) -> list:
-    # acc - sum_j den_j src[r - j] on x-coefficient lists, in place; a
-    # coefficient of -1 or 1 adds or subtracts the shifted list as it is.
-    for j, nonzero in terms:
-        if j > r:
-            break
-        prev = src[r - j]
-        width = len(prev)
-        if not width:
-            continue
-        need = nonzero[-1][0] + width
-        if len(acc) < need:
-            acc.extend([0] * (need - len(acc)))
-        for e, c in nonzero:
-            if c == -1:
-                acc[e:e + width] = map(add, acc[e:e + width], prev)
-            elif c == 1:
-                acc[e:e + width] = map(sub, acc[e:e + width], prev)
-            else:
-                acc[e:e + width] = [a - c * b for a, b in zip(acc[e:e + width], prev)]
-    while acc and acc[-1] == 0:
-        acc.pop()
-    return acc
-
-
 def _resume(state: list, start: int, empty):
     # state = [position, tails]; kernels set it only once the body is extended.
     if start and state[0] != start:
@@ -405,79 +347,37 @@ def _resume(state: list, start: int, empty):
     return state[1] if start else empty
 
 
-def _row(c, g: int, rho: int) -> list:
-    # The coefficients of x^(rho + g b), b >= 0, of c, whose powers are rho
-    # mod g: its packed ones, or for g = 1 a step-3 IntPoly spread out.
-    p = _coerce(c)
-    return [0] * ((p._low - rho) // g) + (list(p._packed) if p._step == g else p._spread())
-
-
-def _grow_polys(num, factors, state: list, body: list, length: int) -> None:
-    # Appends positions len(body)..length-1 to body.  The list at position k
-    # holds only the coefficients of x^(rho_k + g b), rho_k = (r + t k) mod g
-    # (see _grading); every pass keeps that grading and reads of its past only
-    # its last len(f) - 1 outputs, kept in state.  Each output list is packed
-    # into an IntPoly on step g as it stands.
-    start = len(body)
-    tails = _resume(state, start, [[] for _ in factors])
-    distinct = list(dict.fromkeys(factors))
-    g, t, r = _grading(num, distinct)
-    rho = [(r + t * k) % g for k in range(g)]
-    heads = [_row(c, g, rho[k % g]) for k, c in enumerate(num[start:length], start)]
-    tables = {den: _terms(den, rho) for den in distinct}
-    kept = []
-    for den, tail in zip(factors, tails):
-        terms = tables[den]
-        out = list(tail)
-        for i in range(length - start):
-            acc = heads[i] if i < len(heads) else []
-            out.append(_fold(acc, terms[(start + i) % g], out, len(out)))
-        heads = out[len(tail):]
-        # copied, as the next pass adds into its inputs in place
-        kept.append([list(p) for p in out[max(0, len(out) - (len(den) - 1)):]])
-    body.extend(_pack(rho[k % g], g, packed) for k, packed in enumerate(heads, start))
-    state[:] = length, kept
-
-
 # -- the column kernel (see series_expand) ---------------------------------------
 #
-# On a pair graded as (3, t, r), the term x^a z^k sits in column
-# m = (t k + r - a) / 3, and a factor term x^e z^j moves a column up by
-# delta = (t j - e) / 3.  A column is a list over the positions z^k.
+# On a pair graded as (g, t, r), the term x^a z^k sits in column
+# m = (t k + r - a) / g, and a factor term x^e z^j moves a column up by
+# delta = (t j - e) / g.  A column is a list over the positions z^k.
 
 def _column_plan(num, factors):
-    # (t, r, numerator columns, prefix-sum passes, scans) of a pair that the
-    # column kernel divides, else None.  A numerator column is dense over
-    # positions 0..len(num)-1.  1 - x^t z keeps every column: it is one
-    # prefix-sum pass.  Every other factor is a scan (width, prefix, terms):
-    # its (j, delta, coefficient) terms with delta >= 1, whether it holds
-    # -x^t z, and the largest j it reads back.
+    # (g, t, r, numerator columns, prefix-sum passes, scans) of a pair.  t is
+    # the grading's, raised by multiples of g until no factor term has
+    # delta < 0.  A numerator column is dense over positions 0..len(num)-1.
+    # 1 - x^t z keeps every column: it is one prefix-sum pass.  Every other
+    # factor with a term past its unit is a scan (width, prefix, recurrence,
+    # terms): the largest j it reads back, whether its delta = 0 terms are
+    # -x^t z alone, those terms as (j, c), and its (j, delta, c) terms with
+    # delta >= 1.
     distinct = list(dict.fromkeys(factors))
     g, t, r = _grading(num, distinct)
-    if g == 1:
-        return None
-    kinds = {}
-    for f in distinct:
-        prefix, terms = False, []
-        for j, p in enumerate(map(_coerce, f[1:]), 1):
-            for b, c in enumerate(p._packed):
-                if not c:
-                    continue
-                delta = (t * j - p._low - p._step * b) // g
-                if delta > 0:
-                    terms.append((j, delta, c))
-                elif delta == 0 and j == 1 and c == -1:
-                    prefix = True
-                else:
-                    return None
-        kinds[f] = prefix, terms
+    terms = {f: [(j, p._low + p._step * b, c) for j, p in enumerate(map(_coerce, f[1:]), 1)
+                 for b, c in enumerate(p._packed) if c] for f in distinct}
+    for j, e, _ in chain.from_iterable(terms.values()):
+        if t * j < e:
+            t += g * -((t * j - e) // (g * j))
     passes, scans = 0, []
     for f in factors:
-        prefix, terms = kinds[f]
-        if terms:
-            scans.append((max(j for j, _, _ in terms), prefix, terms))
-        else:
-            passes += prefix
+        recurrence = [(j, c) for j, e, c in terms[f] if t * j == e]
+        ups = [(j, (t * j - e) // g, c) for j, e, c in terms[f] if t * j > e]
+        prefix = recurrence == [(1, -1)]
+        if prefix and not ups:
+            passes += 1
+        elif terms[f]:
+            scans.append((max(j for j, _, _ in terms[f]), prefix, recurrence, ups))
     columns = {}
     for k, p in enumerate(map(_coerce, num)):
         for b, c in enumerate(p._packed):
@@ -486,7 +386,7 @@ def _column_plan(num, factors):
                 if m not in columns:
                     columns[m] = [0] * len(num)
                 columns[m][k] = c
-    return t, r, columns, passes, scans
+    return g, t, r, columns, passes, scans
 
 
 def _grow_columns(plan, state: list, body: list, length: int) -> None:
@@ -495,7 +395,7 @@ def _grow_columns(plan, state: list, body: list, length: int) -> None:
     # arithmetic is exact, so the order of the divisions changes no value.
     # state keeps, per numerator column, the last value of each pass, and per
     # scan the last width values of each column where they are not all zero.
-    t, r, num, passes, scans = plan
+    g, t, r, num, passes, scans = plan
     start = len(body)
     carries, tails = _resume(state, start, ({m: [0] * passes for m in num},
                                             [{} for _ in scans]))
@@ -519,24 +419,26 @@ def _grow_columns(plan, state: list, body: list, length: int) -> None:
         top, bottom = max(columns), min(columns)
         zeros = [0] * n
         rows = zip(*[columns.get(m, zeros) for m in range(top, bottom - 1, -1)])
-        body.extend(_pack(t * k + r - _GRADE * top, _GRADE, row)
+        body.extend(_pack(t * k + r - g * top, g, row)
                     for k, row in enumerate(rows, start))
     else:
         body.extend([_ZERO_OF[IntPoly]] * n)
     state[:] = length, (kept, scanned)
 
 
-def _scan(columns: dict, tails: dict, n: int, width: int, prefix: bool, terms):
+def _scan(columns: dict, tails: dict, n: int, width: int, prefix: bool, recurrence,
+          terms):
     # Divides the n new positions of columns by one factor, going up from the
     # lowest column until no input is left and the columns a next one would
     # read are zero.  Column m adds -c times column m - delta, j positions
     # back, for each term, then, with prefix, runs its prefix sum on from the
-    # last value kept in tails.  Returns the nonzero new columns and their
-    # tails.
+    # last value kept in tails, or else its recurrence, v_k -= c v_(k-j) for
+    # each (j, c), on from the last width values.  Returns the nonzero new
+    # columns and their tails.
     keys = columns.keys() | tails.keys()
     if not keys:
         return {}, {}
-    reach = max(delta for _, delta, _ in terms)
+    reach = max((delta for _, delta, _ in terms), default=0)
     top = max(keys)
     m = min(keys)
     zero = [0] * width
@@ -556,6 +458,13 @@ def _scan(columns: dict, tails: dict, n: int, width: int, prefix: bool, terms):
         tail = tails.get(m, zero)
         if prefix:
             new = list(accumulate(new, initial=tail[-1]))[1:]
+        elif recurrence:
+            values = list(tail)
+            for v in new:
+                for j, c in recurrence:
+                    v -= c * values[-j]
+                values.append(v)
+            new = values[width:]
         nonzero = any(new)
         if nonzero:
             out[m] = new

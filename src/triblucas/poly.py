@@ -133,9 +133,6 @@ class IntPoly:
         """Degree, or ``None`` for the zero polynomial."""
         return self._low + self._step * (len(self._packed) - 1) if self._packed else None
 
-    def is_zero(self) -> bool:
-        return not self._packed
-
     def __bool__(self) -> bool:
         return bool(self._packed)
 
@@ -283,9 +280,6 @@ class IntPoly:
             scale *= q ** self._low
         return Fraction(acc, scale) if isinstance(x0, Fraction) else acc
 
-    def __call__(self, x0: Union[int, Fraction]) -> Union[int, Fraction]:
-        return self.evaluate(x0)
-
     # -- text ----------------------------------------------------------------
 
     def __str__(self) -> str:
@@ -323,19 +317,6 @@ def _add_at(out: List[int], offset: int, packed) -> None:
 _ZERO = _pack(0, 3, ())
 _ONE = _pack(0, 3, (1,))
 _X = _pack(1, 3, (1,))
-
-
-def poly_add(p: IntPoly, q: IntPoly) -> IntPoly:
-    return p + q
-
-
-def poly_mul(p: IntPoly, q: IntPoly) -> IntPoly:
-    return p * q
-
-
-def poly_eval(p: IntPoly, x0: Union[int, Fraction]) -> Fraction:
-    """Exact value of p at x0, always as a Fraction (integer-valued for int x0)."""
-    return p.evaluate(Fraction(x0))
 
 
 def poly_format(p: IntPoly) -> str:

@@ -551,10 +551,6 @@ class ErrataRecord(NamedTuple):
     corrected: str
     evidence: str
 
-    def to_json_dict(self) -> dict:
-        return {"key": self.key, "title": self.title, "printed": self.printed,
-                "corrected": self.corrected, "evidence": self.evidence}
-
 
 class ErrataReport(NamedTuple):
     """The errata records in report order.

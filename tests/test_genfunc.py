@@ -155,31 +155,37 @@ def _zmul(a, b):
     return out
 
 
-def test_lemma9_reproduces_corrected_q():
-    # Clearing the shifted incomplete-Tribonacci recurrence through the
-    # generic lemma must give the same series as the corrected closed form:
-    # the forcing sequence is the negated correction sums, with generating
-    # function -(x z^2 + z^3)(x + z)^s / (1 - x^2 z)^(s+1).
+def _lemma9_q(s):
+    # The shifted incomplete-Tribonacci recurrence at level s: the forcing
+    # sequence is the negated correction sums, with generating function
+    # -(x z^2 + z^3)(x + z)^s / (1 - x^2 z)^(s+1).
     x = IntPoly.x()
     one = IntPoly.one()
-    for s in range(4):
-        m = [one, -IntPoly.monomial(1, 2)]
-        p = [one]
-        for _ in range(s + 1):
-            p = _zmul(p, m)
-        x_plus_z = [one]
-        for _ in range(s):
-            x_plus_z = _zmul(x_plus_z, [x, one])
-        g_num = _zmul([IntPoly.zero(), IntPoly.zero(), x, one], x_plus_z)
-        forcing = RationalGF(tuple(-c for c in g_num), tuple(p))
-        spec = Lemma9Spec(
-            a=IntPoly.monomial(1, 2), b=x, c=one,
-            s0=tribonacci_poly(2 * s + 1),
-            s1=tribonacci_poly(2 * s + 2),
-            s2=tribonacci_poly(2 * s + 3) - IntPoly.monomial(1, s + 1),
-            r=forcing)
-        order = 20
-        via_lemma = series_expand(lemma9_gf(spec), order)
+    m = [one, -IntPoly.monomial(1, 2)]
+    p = [one]
+    for _ in range(s + 1):
+        p = _zmul(p, m)
+    x_plus_z = [one]
+    for _ in range(s):
+        x_plus_z = _zmul(x_plus_z, [x, one])
+    g_num = _zmul([IntPoly.zero(), IntPoly.zero(), x, one], x_plus_z)
+    forcing = RationalGF(tuple(-c for c in g_num), tuple(p))
+    return Lemma9Spec(
+        a=IntPoly.monomial(1, 2), b=x, c=one,
+        s0=tribonacci_poly(2 * s + 1),
+        s1=tribonacci_poly(2 * s + 2),
+        s2=tribonacci_poly(2 * s + 3) - IntPoly.monomial(1, s + 1),
+        r=forcing)
+
+
+def test_lemma9_reproduces_corrected_q():
+    # Clearing the shifted incomplete-Tribonacci recurrence through the
+    # generic lemma must give the same series as the corrected closed form.
+    # The cleared pair has no factors, so it divides by its whole
+    # denominator.
+    for s in range(13):
+        order = 96
+        via_lemma = series_expand(lemma9_gf(_lemma9_q(s)), order)
         direct = series_expand(q_gf(s, GFVariant.CORRECTED), order + 2 * s + 1)
         for k in range(order):
             assert via_lemma[k] == direct[k + 2 * s + 1], (s, k)
@@ -404,13 +410,25 @@ _FACTORED = ([_X, 1], [1, -_X2, _X2, -_X2 * _X2], ((1, -_X2), (IntPoly.one(), 0,
 # column kernel divides.
 _TRIB_FACTOR = (1, -_X2, -_X, -1)
 _Q_LIKE = ([_X, 1, _X2], _zmul(_TRIB_FACTOR, (1, -_X2)), (_TRIB_FACTOR, (1, -_X2)))
-# Q_s-like pairs that the row kernel divides: graded mod 3 with
-# 1 - x^2 z - x^4 z^2, whose x^4 z^2 term keeps its column, and not with
-# 1 - (x^2 + x) z, whose x z term is off the lattice.
+# Q_s-like pairs graded mod 3 with 1 - x^2 z - x^4 z^2, whose x^4 z^2 term
+# keeps its column, and not with 1 - (x^2 + x) z, whose x z term is off the
+# lattice.
 _ON_LATTICE = ([_X, 1, _X2], _zmul(_TRIB_FACTOR, (1, -_X2, -_X2 * _X2)),
                (_TRIB_FACTOR, (1, -_X2, -_X2 * _X2)))
 _OFF_LATTICE = ([_X, 1, _X2], _zmul(_TRIB_FACTOR, (1, -_X2 - _X)),
                 (_TRIB_FACTOR, (1, -_X2 - _X)))
+# 1 - 2 x^2 z + 3 x^4 z^2 keeps every column: a recurrence two positions
+# back along each column, with non-unit coefficients.
+_IN_COLUMN_FACTOR = (1, -2 * _X2, 3 * _X2 * _X2)
+_IN_COLUMN = ([_X, 1, _X2], _zmul(_IN_COLUMN_FACTOR, (1, -_X2)),
+              (_IN_COLUMN_FACTOR, (1, -_X2)))
+# Graded with t = 2, but the x^5 z term of 1 - x^5 z raises t to 5.
+_RAISED = ([_X, 1, _X2], _zmul((1, -_X2 * _X2 * _X), _TRIB_FACTOR),
+           ((1, -_X2 * _X2 * _X), _TRIB_FACTOR))
+# Ungraded (x z and x^2 z), with an in-column x^4 z^2 term beside the x z^2
+# one that moves a column up.
+_UNGRADED_FACTORS = ((1, -_X2 - _X), (1, 2 * _X2, _X - 3 * _X2 * _X2))
+_UNGRADED = ([1 + _X, _X2, 5], _zmul(*_UNGRADED_FACTORS), _UNGRADED_FACTORS)
 # 1 over (1 - x^2 z)(1 + 2 z^3): column m >= 0 first turns nonzero at z^(3m/2).
 _LATE_COLUMNS = ([1], _zmul((1, -_X2), (1, 0, 0, 2)), ((1, -_X2), (1, 0, 0, 2)))
 # x^6 + 1 over (1 - x^2 z)(1 + 2 x z^2): numerator columns -2 and 0, and below
@@ -440,6 +458,10 @@ def test_a_pair_of_constant_polynomials_hashes_as_its_int_twin():
 # numerator column above a zero one.
 @example(_Q_LIKE, 1, 14)
 @example(_GAP, 0, 2)
+# In-column recurrences, a raised t, and an ungraded pair on step-1 columns.
+@example(_IN_COLUMN, 0, 14)
+@example(_RAISED, 1, 14)
+@example(_UNGRADED, 0, 14)
 def test_expansion_kernels_match_the_generic_loop(pair, shift, order):
     # Equal pairs with and without factors share one memo entry.
     BODIES.clear()
@@ -456,7 +478,7 @@ def test_expansion_kernels_match_the_generic_loop(pair, shift, order):
 
 
 def test_grading_is_detected_from_the_pair_terms():
-    # Every Q_s and W_s pair runs on x-lists graded mod 3 with t = 2.
+    # Every Q_s and W_s pair runs on columns graded mod 3 with t = 2.
     pairs = [q_gf(s, variant) for s in range(17) for variant in GFVariant]
     pairs += [w_gf(s) for s in range(1, 17)]
     for gf in pairs:
@@ -479,12 +501,14 @@ def _kernel_of(gf):
 def test_q_and_w_pairs_take_the_column_kernel():
     pairs = [q_gf(s, variant) for s in range(17) for variant in GFVariant]
     pairs += [w_gf(s) for s in range(1, 17)]
+    # graded with a factor term that keeps its column, and ungraded
+    pairs += [RationalGF(tuple(pair[0]), tuple(pair[1]), 0, pair[2])
+              for pair in (_ON_LATTICE, _OFF_LATTICE)]
+    # Q_6 without its factors, and Q_3 cleared through Lemma 9
+    q6 = q_gf(6)
+    pairs += [RationalGF(q6.numerator, q6.denominator, q6.shift), lemma9_gf(_lemma9_q(3))]
     for gf in pairs:
         assert _kernel_of(gf) is genfunc._grow_columns
-    # graded with a factor term that keeps its column, and ungraded
-    for pair in (_ON_LATTICE, _OFF_LATTICE):
-        assert _kernel_of(RationalGF(tuple(pair[0]), tuple(pair[1]), 0, pair[2])) \
-            is genfunc._grow_polys
 
 
 @settings(max_examples=50)
@@ -617,6 +641,11 @@ def test_expansion_memo_keeps_coefficient_types(int_first):
 # 24 is still zero at order 2.
 @example(_Q_LIKE, 2, [7, 3, 20, 24])
 @example(_LATE_COLUMNS, 0, [2, 24])
+# Resuming an in-column recurrence that reads two positions back, a raised t
+# and step-1 columns.
+@example(_IN_COLUMN, 0, [7, 3, 20, 24])
+@example(_RAISED, 2, [7, 3, 20, 24])
+@example(_UNGRADED, 0, [7, 3, 20, 24])
 def test_expansion_resumes_from_the_memoised_body(pair, shift, orders):
     # Each order is served from, or continues, the longest body so far.
     BODIES.clear()
@@ -678,9 +707,10 @@ def test_kept_division_state_stays_short_and_in_step_with_its_body(gf):
         *_, (position, kept) = body._extend.args
         assert position == len(body) == longest - gf.shift
         if series_key(gf)[1] is IntPoly:
-            plan = body._extend.args[0]
+            g, t, r, columns, passes, scans = body._extend.args[0]
+            assert (g, t, passes, len(scans)) == (3, 2, len(gf.factors) - 1, 1)
             carries, (tails,) = kept
-            assert carries.keys() == plan[2].keys()
+            assert carries.keys() == columns.keys()
             assert {len(last) for last in carries.values()} == {len(gf.factors) - 1}
             assert {len(last) for last in tails.values()} == {3}
             sizes.add((len(carries), tuple(sorted(tails))))

@@ -1,7 +1,9 @@
 """Every entry of `output_pins.json` writes its pinned bytes through
 `cli.main`: the symbolic `gf` expansion at the level and order bounds (the
-column kernel) and the rational-x one (the scalar kernel).  CI checks the
-same file in a fresh process on every Python of its matrix."""
+column kernel) and the rational-x one (the scalar kernel), the four tables
+at 150 rows, the `poly` texts at the index bound, and the dense coefficient
+lists of `poly` and `incomplete`.  CI checks the same file, one fresh
+process per entry, on every Python of its matrix."""
 
 import hashlib
 import json
